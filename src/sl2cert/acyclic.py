@@ -394,6 +394,8 @@ def search_attaching_path(graph: OrbitGraph, seed: int = 1,
                               (int(j), -step)]
                 pick = (score, None)
                 for j, t in cands:
+                    if evaluations >= budget:
+                        break
                     y[j] += t
                     cand_mat = matrix_of(y)
                     cand = score_of(cand_mat)
@@ -407,7 +409,7 @@ def search_attaching_path(graph: OrbitGraph, seed: int = 1,
                     score = pick[0]
                     improved = True
                     stall = 0
-            if not improved:
+            if not improved and evaluations < budget:
                 # random kick; mild uphill moves keep the walk moving
                 j = int(rng.integers(n_cls))
                 t = 1 if rng.integers(2) else -1

@@ -27,6 +27,7 @@ class _Run:
         self._session = None
         self._graph = None
         self._path = None
+        self._search_error = None
         self._solution = None
 
     @property
@@ -43,9 +44,16 @@ class _Run:
         return self._graph
 
     def path(self) -> acyclic.EdgePath:
-        if self._path is None:
-            self._path = acyclic.search_attaching_path(
-                self.graph, seed=self.config.seed, budget=self.config.budget)
+        # a failed search is kept too, so later checks do not repeat it
+        if self._path is None and self._search_error is None:
+            try:
+                self._path = acyclic.search_attaching_path(
+                    self.graph, seed=self.config.seed,
+                    budget=self.config.budget)
+            except acyclic.NoPathFound as exc:
+                self._search_error = exc
+        if self._search_error is not None:
+            raise self._search_error
         return self._path
 
     def solution(self):

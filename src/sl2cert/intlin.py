@@ -4,6 +4,21 @@ Everything here is deterministic: prime streams are generated by scanning
 downwards from a fixed start, eliminations use first-nonzero pivoting, and
 all certified results (determinants, solution vectors) are reconstructed
 exactly and never trusted to floating point.
+
+`det_crt` first eliminates over Z (`unit_pivot_reduce`): for each leading
+column in turn it takes the first +-1 entry in row order as pivot and
+clears the column below.  A +-1 pivot divides every entry, so the step is
+exact over Z, and after k steps the matrix is block upper triangular with
++-1 on the first k diagonal entries; hence det(A) = sign * det(S), with
+sign collecting the pivots and row swaps and S the trailing Schur block.
+The phase stops at the first column without a +-1 entry, or before it
+would write an entry of absolute value 2^31 or more: with every entry
+below 2^31, each product and difference fits in int64.  Only S is then
+reduced modulo each prime.  The primes still follow from the Hadamard
+bound of A, so the prime list does not depend on how far the phase got.
+The modular kernels update only the trailing block m[rows, col:] of the
+rows with a nonzero multiplier; the pivot row is zero left of col, so
+the other entries would not change.
 """
 
 from __future__ import annotations
@@ -70,41 +85,21 @@ def det_mod_p(mat: np.ndarray, p: int) -> int:
     n = m.shape[0]
     det = 1
     for col in range(n):
-        piv = col + int(np.argmax(m[col:, col] != 0))
-        if m[piv, col] == 0:
+        nz = np.flatnonzero(m[col:, col])
+        if not nz.size:
             return 0
+        piv = col + int(nz[0])
         if piv != col:
             m[[col, piv]] = m[[piv, col]]
             det = -det
         pv = int(m[col, col])
         det = det * pv % p
-        inv = pow(pv, -1, p)
-        rows = m[col + 1:, col] != 0
-        if rows.any():
-            factors = m[col + 1:, col][rows] * inv % p
-            m[col + 1:][rows] = (m[col + 1:][rows] - factors[:, None] * m[col][None, :]) % p
+        rows = col + 1 + np.flatnonzero(m[col + 1:, col])
+        if rows.size:
+            # the pivot row is zero left of col, so only the trailing block moves
+            factors = m[rows, col] * pow(pv, -1, p) % p
+            m[rows, col:] = (m[rows, col:] - factors[:, None] * m[col, col:]) % p
     return det % p
-
-
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = np.mod(mat, p).astype(np.int64)
-    rows, cols = m.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        piv = r + int(np.argmax(m[r:, col] != 0))
-        if m[piv, col] == 0:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, col]), -1, p)
-        nz = m[r + 1:, col] != 0
-        if nz.any():
-            factors = m[r + 1:, col][nz] * inv % p
-            m[r + 1:][nz] = (m[r + 1:][nz] - factors[:, None] * m[r][None, :]) % p
-        r += 1
-    return r
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -116,56 +111,97 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for col in range(cols):
         if r == rows:
             break
-        piv = r + int(np.argmax(m[r:, col] != 0))
-        if m[piv, col] == 0:
+        nz = np.flatnonzero(m[r:, col])
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, col]), -1, p) % p
-        nz = m[:, col] != 0
-        nz[r] = False
-        if nz.any():
-            m[nz] = (m[nz] - m[nz, col][:, None] * m[r][None, :]) % p
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+        others = np.flatnonzero(m[:, col])
+        others = others[others != r]
+        if others.size:
+            m[others, col:] = (m[others, col:]
+                               - m[others, col][:, None] * m[r, col:]) % p
         pivots.append(col)
         r += 1
     return m, pivots
 
 
-def solve_square_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve a x = b mod p for square nonsingular-a; None if singular."""
-    n = a.shape[0]
-    aug = np.concatenate([np.mod(a, p), np.mod(b, p).reshape(n, 1)], axis=1)
-    red, piv = rref_mod_p(aug, p)
-    if len(piv) < n or piv[:n] != list(range(n)):
-        return None
-    return red[:, n].copy()
+def _max_abs(m: np.ndarray) -> int:
+    """Largest |entry| as a Python int (np.abs would wrap at -2^63)."""
+    return max(-int(m.min()), int(m.max())) if m.size else 0
 
 
 def hadamard_bound(mat: np.ndarray) -> int:
-    """Integer upper bound on |det| via Hadamard's inequality (exact arithmetic)."""
-    bound_sq = 1
-    for row in np.asarray(mat, dtype=object):
-        s = int(sum(int(x) * int(x) for x in row))
-        if s == 0:
-            return 0
-        bound_sq *= s
-    return math.isqrt(bound_sq) + 1
+    """Integer upper bound on |det| via Hadamard's inequality (exact arithmetic).
+
+    Row norms are summed in int64, so the entries must satisfy
+    n * max|a|^2 < 2^63; OverflowError otherwise.
+    """
+    m = np.asarray(mat, dtype=np.int64)
+    peak = _max_abs(m)
+    if m.shape[1] * peak * peak >= 1 << 63:
+        raise OverflowError("row norms of the matrix exceed int64")
+    norms = (m * m).sum(axis=1)
+    if not norms.all():
+        return 0
+    return math.isqrt(math.prod(int(s) for s in norms)) + 1
+
+
+UNIT_PIVOT_LIMIT = 1 << 31
+
+
+def unit_pivot_reduce(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """Eliminate over Z with +-1 pivots while entries stay below 2^31.
+
+    Returns (sign, S) with det(mat) = sign * det(S), S the Schur complement
+    of the eliminated leading columns.
+    """
+    m = np.array(mat, dtype=np.int64)
+    if _max_abs(m) >= UNIT_PIVOT_LIMIT:
+        return 1, m
+    sign = 1
+    col = 0
+    while col < m.shape[0]:
+        units = np.flatnonzero(np.abs(m[col:, col]) == 1)
+        if not units.size:
+            break
+        piv = col + int(units[0])
+        rows = np.flatnonzero(m[col:, col])
+        rows = col + rows[rows != piv - col]
+        if rows.size:
+            # |entries| < 2^31, so every product and difference fits in int64
+            factors = m[rows, col] * m[piv, col]
+            block = m[rows, col:] - factors[:, None] * m[piv, col:]
+            if _max_abs(block) >= UNIT_PIVOT_LIMIT:
+                break
+            m[rows, col:] = block
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            sign = -sign
+        sign *= int(m[col, col])
+        col += 1
+    return sign, m[col:, col:].copy()
 
 
 def det_crt(mat: np.ndarray, avoid: int = 1, progress=None) -> tuple[int, list[int], int]:
     """Exact determinant by multi-modular CRT under the Hadamard bound.
 
+    The bound, and with it the primes, comes from `mat`; each prime then
+    reduces only the Schur block left by `unit_pivot_reduce`.
     Returns (determinant, primes used, hadamard bound).
     """
     bound = hadamard_bound(mat)
     if bound == 0:
         return 0, [], 0
+    sign, schur = unit_pivot_reduce(mat)
     target = 2 * bound + 1
     residues: list[int] = []
     primes: list[int] = []
     modulus = 1
     for p in prime_stream(avoid=avoid):
-        residues.append(det_mod_p(mat, p))
+        residues.append(sign * det_mod_p(schur, p) % p)
         primes.append(p)
         modulus *= p
         if progress is not None:

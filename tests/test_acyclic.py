@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sl2cert import acyclic
+from sl2cert import acyclic, intlin
 from sl2cert.acyclic import CycleSpace, EdgePath, NoPathFound
 
 
@@ -73,6 +73,30 @@ def test_realize_matches_class(graph13, cyc):
 def test_zero_budget_raises(graph13):
     with pytest.raises(NoPathFound):
         acyclic.search_attaching_path(graph13, budget=0)
+
+
+def test_search_stays_within_budget(graph13):
+    # one descent step ranks 36 candidates; the budget cuts in between them
+    with pytest.raises(NoPathFound) as info:
+        acyclic.search_attaching_path(graph13, seed=1, budget=2)
+    assert info.value.diagnostics["evaluations"] <= 2
+
+
+# a closed walk at vertex 0: (edge orbit, PSL2(13) matrix, sign)
+FIXED_WALK = (("eta3", (1, 11, 8, 11), -1), ("eta2", (1, 6, 6, 11), -1),
+              ("eta1", (2, 3, 12, 12), 1), ("eta1", (0, 1, 12, 1), -1),
+              ("eta0", (0, 1, 12, 1), -1))
+
+
+def test_det_crt_on_fixed_walk(graph13, cyc):
+    psl = graph13.psl
+    path = EdgePath(0, [(o, psl.index[m], s) for o, m, s in FIXED_WALK])
+    mat = cyc.pairing_matrix(acyclic.path_edge_vector(graph13, path))
+    det, primes, bound = intlin.det_crt(mat)
+    assert det == -(2 ** 42 * 3 ** 42 * 281 ** 12)
+    ps = intlin.prime_stream()
+    assert primes == [next(ps) for _ in range(35)]
+    assert bound.bit_length() == 1043
 
 
 def test_certificate_json_shape(graph13):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,73 @@ def test_rational_reconstruct_recovers(fr):
     assert intlin.rational_reconstruct(a, m) == fr
 
 
+def _det_mod_p_reference(mat, p):
+    """Full-width elimination: every step rewrites whole rows."""
+    m = np.mod(mat, p).astype(np.int64)
+    n = m.shape[0]
+    det = 1
+    for col in range(n):
+        piv = col + int(np.argmax(m[col:, col] != 0))
+        if m[piv, col] == 0:
+            return 0
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            det = -det
+        pv = int(m[col, col])
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        rows = m[col + 1:, col] != 0
+        if rows.any():
+            factors = m[col + 1:, col][rows] * inv % p
+            m[col + 1:][rows] = (m[col + 1:][rows]
+                                 - factors[:, None] * m[col][None, :]) % p
+    return det % p
+
+
+def _rref_mod_p_reference(mat, p):
+    """Full-width reduction: every step rewrites whole rows."""
+    m = np.mod(mat, p).astype(np.int64)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        piv = r + int(np.argmax(m[r:, col] != 0))
+        if m[piv, col] == 0:
+            continue
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = m[r] * pow(int(m[r, col]), -1, p) % p
+        nz = m[:, col] != 0
+        nz[r] = False
+        if nz.any():
+            m[nz] = (m[nz] - m[nz, col][:, None] * m[r][None, :]) % p
+        pivots.append(col)
+        r += 1
+    return m, pivots
+
+
+def _sparse_unit(rng, rows, cols, density=0.15):
+    signs = rng.choice([-1, 1], size=(rows, cols))
+    return signs * (rng.random((rows, cols)) < density)
+
+
+def _kernel_inputs():
+    """Square matrices for both kernels: sparse +-1, singular mod p, swaps."""
+    rng = np.random.default_rng(4)
+    mats = [_sparse_unit(rng, n, n) for n in (5, 12, 30)]
+    mats += [rng.integers(-9, 10, size=(n, n)) for n in (6, 15)]
+    singular = rng.integers(-5, 6, size=(8, 8))
+    singular[5] = 2 * singular[1] - singular[3]       # singular over Z
+    mats.append(singular)
+    mats.append(np.array([[98, 1], [1, 1]]))          # det 97: singular mod 97
+    mats.append(np.array([[97, 1], [1, 1]]))          # row swap mod 97
+    mats.append(np.array([[0, 1, 2], [0, 0, 3], [4, 5, 6]]))    # row swaps
+    mats.append(np.zeros((3, 3), dtype=np.int64))
+    return mats
+
+
 def test_det_mod_p_matches_numpy():
     rng = np.random.default_rng(0)
     p = 1000003
@@ -52,6 +120,29 @@ def test_det_mod_p_matches_numpy():
         mat = rng.integers(-9, 10, size=(6, 6))
         want = round(np.linalg.det(mat.astype(float)))
         assert intlin.det_mod_p(mat, p) == want % p
+
+
+@pytest.mark.parametrize("p", [97, 1073741789])
+def test_det_mod_p_matches_reference(p):
+    for mat in _kernel_inputs():
+        assert intlin.det_mod_p(mat, p) == _det_mod_p_reference(mat, p)
+    assert intlin.det_mod_p(np.array([[98, 1], [1, 1]]), 97) == 0
+
+
+@pytest.mark.parametrize("p", [97, 1073741789])
+def test_rref_mod_p_matches_reference(p):
+    rng = np.random.default_rng(5)
+    mats = _kernel_inputs()
+    mats += [_sparse_unit(rng, r, c) for r, c in ((7, 20), (25, 10), (40, 55))]
+    mats.append(np.array([[0, 0, 2, 1], [0, 3, 1, 1], [0, 6, 2, 2]]))
+    for mat in mats:
+        red, pivots = intlin.rref_mod_p(mat, p)
+        want_red, want_pivots = _rref_mod_p_reference(mat, p)
+        assert np.array_equal(red, want_red)
+        assert pivots == want_pivots
+    # rank-deficient 3x3: the second row is twice the first
+    _, pivots = intlin.rref_mod_p(np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), p)
+    assert pivots == [0, 1]
 
 
 def test_det_crt_exact():
@@ -70,6 +161,42 @@ def test_det_crt_singular():
     assert det == 0
 
 
+def _crt_cases():
+    """name -> (matrix, columns the unit-pivot phase eliminates or None)."""
+    rng = np.random.default_rng(6)
+    cases = {"no-unit-pivot": (2 * rng.integers(-20, 21, size=(9, 9))
+                               + 2 * np.eye(9, dtype=int), 0)}
+    for n, density in ((10, 0.3), (16, 0.2), (24, 0.15)):
+        cases[f"unit-{n}"] = (_sparse_unit(rng, n, n, density)
+                              + np.eye(n, dtype=int), None)
+    # column 0 eliminates; column 1 would write 5 - 2^30 (2^30 + 1)
+    big = 1 << 30
+    cases["stop-at-2^31"] = (np.array([[1, 2, -1], [1, 3, big], [0, big, 5]]), 1)
+    return cases
+
+
+CRT_CASES = _crt_cases()
+
+
+@pytest.mark.parametrize("name", CRT_CASES)
+def test_det_crt_matches_sympy(name):
+    mat, eliminated = CRT_CASES[name]
+    want = sympy.Matrix(mat.tolist()).det()
+    det, _, bound = intlin.det_crt(mat)
+    assert det == want and abs(det) <= bound
+    sign, schur = intlin.unit_pivot_reduce(mat)
+    assert sign * sympy.Matrix(schur.tolist()).det() == want
+    if eliminated is not None:
+        assert schur.shape == (mat.shape[0] - eliminated,) * 2
+    assert schur.size == 0 or np.abs(schur).max() < intlin.UNIT_PIVOT_LIMIT
+
+
+def test_unit_pivot_reduce_refuses_large_input():
+    mat = np.array([[1, 1 << 31], [0, 1]])
+    sign, schur = intlin.unit_pivot_reduce(mat)
+    assert sign == 1 and np.array_equal(schur, mat)
+
+
 def test_hadamard_bound_is_a_bound():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -78,20 +205,13 @@ def test_hadamard_bound_is_a_bound():
         assert abs(det) <= intlin.hadamard_bound(mat)
 
 
-def test_rank_and_rref():
-    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    p = 101
-    assert intlin.rank_mod_p(mat, p) == 2
-    _, pivots = intlin.rref_mod_p(mat, p)
-    assert len(pivots) == 2
-
-
-def test_solve_square_mod_p():
-    a = np.array([[2, 1], [1, 1]])
-    b = np.array([3, 2])
-    p = 97
-    x = intlin.solve_square_mod_p(a, b, p)
-    assert ((a @ x) % p == b % p).all()
+def test_hadamard_bound_overflow_raises():
+    peak = math.isqrt((1 << 63) // 4) + 1       # 4 * peak^2 >= 2^63
+    mat = np.eye(4, dtype=np.int64)
+    assert intlin.hadamard_bound(mat * (peak - 1)) == (peak - 1) ** 4 + 1
+    mat[2, 3] = -peak
+    with pytest.raises(OverflowError):
+        intlin.hadamard_bound(mat)
 
 
 def test_dixon_solve_rational_system():

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from sl2cert import cli, report
+from sl2cert import acyclic, cli, report
 from sl2cert.report import Report, RunConfig
 from sl2cert.verify import CheckResult
 
@@ -77,3 +77,19 @@ def test_cli_byte_identical_reports(tmp_path):
         cli.main(["--q", "13", "--checks", "census,moduli-dim",
                   "--format", "json", "--seed", "7", "--out", str(target)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_keeps_a_failed_search(monkeypatch):
+    calls = []
+    search = acyclic.search_attaching_path
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(acyclic, "search_attaching_path", counting)
+    rep = cli.run(_config(checks=("acyclicity", "partition", "lift"), budget=2))
+    assert len(calls) == 1
+    assert [r.passed for r in rep.results] == [False] * 3
+    # an aborted check carries the exception text as its computed value
+    details = {r.computed for r in rep.results}
+    assert len(details) == 1 and details.pop().startswith("NoPathFound")
