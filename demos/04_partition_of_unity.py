@@ -23,10 +23,14 @@ q = 13
 graph = orbit_graph.build_graph(q, orbit_graph.flavor_of(q))
 
 budget = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
-path = acyclic.search_attaching_path(graph, seed=1, budget=budget)
+try:
+    path = acyclic.search_attaching_path(graph, seed=1, budget=budget)
+except acyclic.NoPathFound as exc:
+    print("no path within budget:", exc)
+    raise SystemExit(1)
 print(f"attaching walk of length {len(path)}")
 
-solution = partition.solve_partition_of_unity(graph, path, progress=True)
+solution = partition.solve_partition_of_unity(graph, path)
 support = sum(len(x.coeffs) for x in solution.values())
 print(f"partition of unity over PSL2({q}): {len(solution)} edge elements, "
       f"total support {support} (verified exactly)")

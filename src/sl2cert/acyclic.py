@@ -14,7 +14,6 @@ concatenating fundamental-cycle loops through the spanning tree.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,15 +216,14 @@ class AcyclicityCertificate:
 
 
 def certify_acyclicity(graph: OrbitGraph, path: EdgePath,
-                       cycles: CycleSpace | None = None,
-                       progress=None) -> AcyclicityCertificate:
+                       cycles: CycleSpace | None = None) -> AcyclicityCertificate:
     """Exact CRT determinant of the pairing matrix of the path's orbit."""
     validate_path(graph, path)
     cyc = cycles or CycleSpace(graph)
     b0, b1 = orbit_graph.homology_ranks(graph)
     vec = path_edge_vector(graph, path)
     mat = cyc.pairing_matrix(vec)
-    det, primes, bound = intlin.det_crt(mat, progress=progress)
+    det, primes, bound = intlin.det_crt(mat)
     return AcyclicityCertificate(path, b0, b1, det, bound, primes)
 
 

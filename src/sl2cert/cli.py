@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 
-import numpy as np
-
-from . import acyclic, chartab, groups, orbit_graph, partition, smallgroups
-from . import unitary, verify
+from . import acyclic, groups, orbit_graph, partition, verify
 from .report import Report, RunConfig
-from .verify import CheckResult, Session, _check
-
-CHECK_ORDER = ("census", "centralizers", "eigenvalues", "moduli-dim",
-               "degree", "lemma21", "chartable", "graph", "acyclicity",
-               "partition", "lift")
+from .verify import CheckResult, Session, _check, _timed
 
 
 class _Run:
@@ -24,6 +15,7 @@ class _Run:
 
     def __init__(self, config: RunConfig):
         self.config = config
+        self.q = config.q
         self._session = None
         self._graph = None
         self._path = None
@@ -33,14 +25,14 @@ class _Run:
     @property
     def session(self) -> Session:
         if self._session is None:
-            self._session = Session(self.config.q)
+            self._session = Session(self.q)
         return self._session
 
     @property
     def graph(self) -> orbit_graph.OrbitGraph:
         if self._graph is None:
-            q = self.config.q
-            self._graph = orbit_graph.build_graph(q, orbit_graph.flavor_of(q))
+            self._graph = orbit_graph.build_graph(
+                self.q, orbit_graph.flavor_of(self.q))
         return self._graph
 
     def path(self) -> acyclic.EdgePath:
@@ -63,49 +55,16 @@ class _Run:
         return self._solution
 
 
-def _timed(name: str, fn) -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        res = fn()
-    except Exception as exc:      # aborted check -> failed result with diagnostics
-        res = CheckResult(name, False, "no exception",
-                          f"{type(exc).__name__}: {exc}")
-    res.elapsed = time.perf_counter() - t0
-    return res
+def _run_chartable(run: _Run) -> list[CheckResult]:
+    table = run.session.table
 
-
-def _run_lemma21(seed: int) -> list[CheckResult]:
-    out = []
-    for group in smallgroups.all_test_groups():
-        def sweep(group=group):
-            rng = np.random.default_rng(seed)
-            worst = None
-            for g1 in range(len(group.elements)):
-                for g2 in range(len(group.elements)):
-                    _, _, inter, bound = unitary.lemma21_construct(
-                        group, g1, g2, rng=rng)
-                    margin = inter - math.ceil(bound)
-                    if worst is None or margin < worst:
-                        worst = margin
-            return _check(f"lemma21[{group.name}]", True, worst >= 0,
-                          detail=f"worst intersection margin {worst}")
-        out.append(_timed(f"lemma21[{group.name}]", sweep))
-    return out
-
-
-def _run_chartable(ses: Session) -> list[CheckResult]:
-    table = ses.table
-    return [
-        _timed("chartable[rows]",
-               lambda: _check("chartable[rows]", True,
-                              table.verify_row_orthogonality())),
-        _timed("chartable[columns]",
-               lambda: _check("chartable[columns]", True,
-                              table.verify_column_orthogonality())),
-        _timed("chartable[degrees]",
-               lambda: _check("chartable[degrees]", True,
-                              table.verify_degrees())),
-    ]
+    def check(name: str, verified) -> CheckResult:
+        return _check(name, True, verified())
+    return [_timed(name, check, name, verified)
+            for name, verified in (
+                ("chartable[rows]", table.verify_row_orthogonality),
+                ("chartable[columns]", table.verify_column_orthogonality),
+                ("chartable[degrees]", table.verify_degrees))]
 
 
 def _run_graph(run: _Run) -> list[CheckResult]:
@@ -126,7 +85,7 @@ def _run_acyclicity(run: _Run) -> list[CheckResult]:
                      detail=f"det={cert.determinant}, path length {len(path)}")
         return res
     out = [_timed("acyclicity[certificate]", search)]
-    if run.config.q == 13 and out[0].passed:
+    if run.q == 13 and out[0].passed:
         def smith():
             hom = acyclic.smith_cross_check(run.graph, run.path())
             return _check("acyclicity[smith]", {"H0": "Z", "H1": "0"}, hom)
@@ -152,38 +111,31 @@ def _run_lift(run: _Run) -> list[CheckResult]:
     return [_timed("lift[identity]", lift)]
 
 
+# check name -> handler, in the order `--checks all` runs them.  The verify
+# functions are looked up when a handler runs, not here, so that a caller
+# may replace them on the module (the benchmark's tracer does).
+CHECKS = {
+    "census": lambda run: verify.verify_prop31(run.q, run.session),
+    "centralizers": lambda run: verify.verify_commutant_dims(run.q, run.session),
+    "eigenvalues": lambda run: verify.verify_eigenvalues(run.q, run.session),
+    "moduli-dim": lambda run: [verify.moduli_dimension_identity(
+        run.q, k, run.session) for k in (0, 1, 2, 3)],
+    "degree": lambda run: verify.degree_inequalities(run.q, run.session),
+    "lemma21": lambda run: verify.verify_lemma21(run.config.seed),
+    "chartable": _run_chartable,
+    "graph": _run_graph,
+    "acyclicity": _run_acyclicity,
+    "partition": _run_partition,
+    "lift": _run_lift,
+}
+CHECK_ORDER = tuple(CHECKS)
+
+
 def run(config: RunConfig) -> Report:
     state = _Run(config)
     report = Report(config)
     for name in config.checks:
-        if name == "census":
-            report.results += verify.verify_prop31(config.q, state.session)
-        elif name == "centralizers":
-            report.results += verify.verify_commutant_dims(config.q,
-                                                           state.session)
-        elif name == "eigenvalues":
-            report.results += verify.verify_eigenvalues(config.q,
-                                                        state.session)
-        elif name == "moduli-dim":
-            report.results += [verify.moduli_dimension_identity(
-                config.q, k, state.session) for k in (0, 1, 2, 3)]
-        elif name == "degree":
-            report.results += verify.degree_inequalities(config.q,
-                                                         state.session)
-        elif name == "lemma21":
-            report.results += _run_lemma21(config.seed)
-        elif name == "chartable":
-            report.results += _run_chartable(state.session)
-        elif name == "graph":
-            report.results += _run_graph(state)
-        elif name == "acyclicity":
-            report.results += _run_acyclicity(state)
-        elif name == "partition":
-            report.results += _run_partition(state)
-        elif name == "lift":
-            report.results += _run_lift(state)
-        else:
-            raise ValueError(f"unknown check: {name}")
+        report.results += CHECKS[name](state)
     return report
 
 
@@ -199,7 +151,6 @@ def _parse_args(argv) -> RunConfig:
                         help="path search evaluation budget")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     if args.checks == "all":
@@ -213,8 +164,7 @@ def _parse_args(argv) -> RunConfig:
         parser.error(f"q={args.q} is not a prime congruent to 5 or 13 mod 24 "
                      "exceeding 5")
     return RunConfig(q=args.q, checks=checks, seed=args.seed,
-                     budget=args.budget, fmt=args.format, out=args.out,
-                     jobs=args.jobs)
+                     budget=args.budget, fmt=args.format, out=args.out)
 
 
 def main(argv=None) -> int:

@@ -219,9 +219,6 @@ class Cyclo:
         """Complex conjugation zeta -> zeta^{-1}."""
         return Cyclo(self.n, {(-e) % self.n: v for e, v in self.coeffs.items()})
 
-    def norm_sq(self) -> "Cyclo":
-        return self * self.conj()
-
     # -- predicates / export ------------------------------------------------
 
     def is_zero(self) -> bool:

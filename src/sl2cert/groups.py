@@ -21,8 +21,6 @@ Conjugacy classes carry the labels 1, z, c, d, zc, zd, a^l, b^m:
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +30,8 @@ Mat2 = tuple[int, int, int, int]
 
 IDENT: Mat2 = (1, 0, 0, 1)
 
-CACHE_ENV = "SL2V_CACHE_DIR"
-CACHE_VERSION = 1
+# columns of the Cayley table computed per vectorized block
+CAYLEY_CHUNK = 256
 
 SUBGROUP_NAMES = ("B", "Cq-1", "2Dq-1", "2Dq+1", "C4", "Q8", "C6", "SL2_3", "Z")
 
@@ -194,7 +192,7 @@ class GroupTable:
         m = self.elements[i]
         return (m[0] + m[3]) % self.q
 
-    def build_cayley(self, chunk: int = 256) -> None:
+    def build_cayley(self) -> None:
         """Materialize the full multiplication table (PSL-sized groups only)."""
         if self._cayley is not None:
             return
@@ -208,8 +206,8 @@ class GroupTable:
         b = mats[:, 1][:, None]
         c = mats[:, 2][:, None]
         d = mats[:, 3][:, None]
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
+        for lo in range(0, n, CAYLEY_CHUNK):
+            hi = min(lo + CAYLEY_CHUNK, n)
             e, f = mats[:, 0][None, lo:hi], mats[:, 1][None, lo:hi]
             g, h = mats[:, 2][None, lo:hi], mats[:, 3][None, lo:hi]
             pa = (a * e + b * g) % q
@@ -268,9 +266,6 @@ def enumerate_group(q: int, flavor: str = "SL") -> GroupTable:
     the least integer encoding.
     """
     require_valid_q(q)
-    cached = _cache_load(q, flavor)
-    if cached is not None:
-        return cached
     elements: list[Mat2] = []
     inv_mod = [0] + [pow(x, -1, q) for x in range(1, q)]
     for a in range(q):
@@ -290,9 +285,7 @@ def enumerate_group(q: int, flavor: str = "SL") -> GroupTable:
             if encode(m, q) < encode(neg, q):
                 keep.append(m)
         keep.sort(key=lambda m: encode(m, q))
-        table = GroupTable(q, "PSL", keep)
-        _cache_store(table)
-        return table
+        return GroupTable(q, "PSL", keep)
 
     table = GroupTable(q, "SL", elements)
     eps = least_primitive_root(q)
@@ -303,7 +296,6 @@ def enumerate_group(q: int, flavor: str = "SL") -> GroupTable:
     table.gen_alpha = table.index[(0, 1, q - 1, 0)]
     table.gen_b = _find_nonsplit_generator(table)
     table.labels = _classify_all(table)
-    _cache_store(table)
     return table
 
 
@@ -533,14 +525,6 @@ class PSLProjection:
         """Least-encoding SL representative of a PSL element."""
         return int(self.section[psl_idx])
 
-    def subgroup_image(self, handle: SubgroupHandle) -> tuple[int, ...]:
-        return tuple(sorted({int(self.proj[i]) for i in handle.elements}))
-
-    def fiber(self, psl_indices) -> tuple[int, ...]:
-        """All SL elements mapping into a set of PSL indices."""
-        wanted = set(int(i) for i in psl_indices)
-        return tuple(i for i in range(self.sl.n) if int(self.proj[i]) in wanted)
-
 
 # -- text dumps (external interface) --------------------------------------------
 
@@ -549,49 +533,3 @@ def dump_group(table: GroupTable) -> str:
     """Text lines `index a b c d` for every element."""
     return "\n".join(f"{i} {m[0]} {m[1]} {m[2]} {m[3]}"
                      for i, m in enumerate(table.elements))
-
-
-def dump_classes(table: GroupTable) -> str:
-    """Text lines `index label` (SL flavor only)."""
-    if table.labels is None:
-        raise ValueError("class dump requires the SL flavor")
-    return "\n".join(f"{i} {lab}" for i, lab in enumerate(table.labels))
-
-
-# -- cache ----------------------------------------------------------------------
-
-
-def _cache_path(q: int, flavor: str) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"group_v{CACHE_VERSION}_{flavor}_{q}.pkl")
-
-
-def _cache_load(q: int, flavor: str) -> GroupTable | None:
-    path = _cache_path(q, flavor)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except Exception:
-        return None
-    table = GroupTable(q, flavor, payload["elements"])
-    for attr in ("labels", "gen_a", "gen_b", "gen_alpha", "eps", "delta"):
-        setattr(table, attr, payload[attr])
-    return table
-
-
-def _cache_store(table: GroupTable) -> None:
-    path = _cache_path(table.q, table.flavor)
-    if path is None:
-        return
-    payload = {attr: getattr(table, attr)
-               for attr in ("elements", "labels", "gen_a", "gen_b",
-                            "gen_alpha", "eps", "delta")}
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh)
-    os.replace(tmp, path)

@@ -185,7 +185,7 @@ def unit_pivot_reduce(mat: np.ndarray) -> tuple[int, np.ndarray]:
     return sign, m[col:, col:].copy()
 
 
-def det_crt(mat: np.ndarray, avoid: int = 1, progress=None) -> tuple[int, list[int], int]:
+def det_crt(mat: np.ndarray) -> tuple[int, list[int], int]:
     """Exact determinant by multi-modular CRT under the Hadamard bound.
 
     The bound, and with it the primes, comes from `mat`; each prime then
@@ -200,12 +200,10 @@ def det_crt(mat: np.ndarray, avoid: int = 1, progress=None) -> tuple[int, list[i
     residues: list[int] = []
     primes: list[int] = []
     modulus = 1
-    for p in prime_stream(avoid=avoid):
+    for p in prime_stream():
         residues.append(sign * det_mod_p(schur, p) % p)
         primes.append(p)
         modulus *= p
-        if progress is not None:
-            progress(len(primes), modulus, target)
         if modulus >= target:
             break
     a, m = crt(residues, primes)

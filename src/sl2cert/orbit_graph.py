@@ -93,10 +93,6 @@ class OrbitGraph:
         orbit, rep = self.edge_rep[edge]
         return self.edge_of(orbit, self.psl.mul(g, rep))
 
-    def translate_vertex(self, g: int, vertex: int) -> int:
-        orbit, rep = self.vertex_rep[vertex]
-        return self.vertex_of(orbit, self.psl.mul(g, rep))
-
     def dumps(self) -> str:
         lines = []
         for v, (orbit, rep) in enumerate(self.vertex_rep):

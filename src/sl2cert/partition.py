@@ -126,8 +126,8 @@ def _stabilizer_psl(graph: OrbitGraph, orbit: str) -> list[int]:
     return sorted(set(graph.proj(i) for i in eo.stabilizer.elements))
 
 
-def solve_partition_of_unity(graph: OrbitGraph, path: EdgePath,
-                             progress=None) -> dict[str, GroupAlgElt]:
+def solve_partition_of_unity(graph: OrbitGraph,
+                             path: EdgePath) -> dict[str, GroupAlgElt]:
     """Exact x~_e with 1 = sum_i eps_i a_i N(G_{e_i}) x~_{e_i} in Q[G].
 
     The unknown N(G_e) x~_e lies in the span of {N(G_e) r : r coset rep}, so
@@ -169,15 +169,11 @@ def solve_partition_of_unity(graph: OrbitGraph, path: EdgePath,
     for j, col in enumerate(columns):
         for i, v in col.items():
             dense[i, j] = v % p
-    if progress is not None:
-        progress("rref", 0)
     _, pivots = intlin.rref_mod_p(dense, p)
     if len(pivots) < n:
         raise Inconsistent(
             f"column span has rank {len(pivots)} < {n} mod {p}")
     sub_cols = [columns[j] for j in pivots]
-    if progress is not None:
-        progress("dixon", len(pivots))
     sol = intlin.dixon_solve(sub_cols, n, b, p)
     if sol is None:
         raise Inconsistent("p-adic lifting failed to reconstruct a solution")

@@ -24,11 +24,10 @@ class RunConfig:
     budget: int = 20000
     fmt: str = "text"
     out: str | None = None
-    jobs: int = 1
 
     def as_dict(self) -> dict:
         return {"q": self.q, "checks": list(self.checks), "seed": self.seed,
-                "budget": self.budget, "jobs": self.jobs}
+                "budget": self.budget}
 
 
 @dataclass

@@ -96,9 +96,6 @@ class SmallGroup:
             at += b.dim
         return out
 
-    def block_character(self, i: int) -> complex:
-        return sum(np.trace(b.matrices[i]) for b in self.blocks)
-
 
 LIPSCHITZ: list[Quat] = [
     (2, 0, 0, 0), (-2, 0, 0, 0), (0, 2, 0, 0), (0, -2, 0, 0),

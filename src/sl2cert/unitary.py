@@ -168,16 +168,3 @@ def lemma21_construct(group: SmallGroup, g1: int, g2: int,
             f"intersection dim {inter} below bound {bound}")
     return a1, a2, inter, bound
 
-
-def ad_central_trivial(m: np.ndarray) -> bool:
-    """True iff conjugation by m fixes every matrix (checked on matrix units)."""
-    dim = m.shape[0]
-    m_inv = m.conj().T
-    assert_unitary(m)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            if np.abs(m @ e @ m_inv - e).max() > TOL:
-                return False
-    return True

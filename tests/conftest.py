@@ -1,11 +1,6 @@
-import os
-
 import pytest
 
-os.environ.setdefault("SL2V_CACHE_DIR", os.path.join(
-    os.path.dirname(__file__), ".cache"))
-
-from sl2cert import chartab, groups, orbit_graph  # noqa: E402
+from sl2cert import chartab, groups, orbit_graph
 
 
 @pytest.fixture(scope="session")

@@ -5,19 +5,19 @@ runs against real groups at q in {13, 29, 37, 53}; nothing is mocked and
 every comparison is exact.
 """
 
+import contextlib
 import json
-import math
+import signal
 import time
 
-import numpy as np
 import pytest
 
-from sl2cert import acyclic, cli, orbit_graph, partition, smallgroups, unitary
+from sl2cert import acyclic, cli, orbit_graph, partition
 from sl2cert.report import RunConfig
 from sl2cert.verify import (Session, degree_inequalities,
                             degree_inequality_sweep, moduli_dimension_identity,
                             verify_commutant_dims, verify_eigenvalues,
-                            verify_prop31)
+                            verify_lemma21, verify_prop31)
 
 QS = (13, 29, 37, 53)
 
@@ -30,10 +30,25 @@ def session(q: int) -> Session:
     return _sessions[q]
 
 
+@contextlib.contextmanager
+def time_limit(seconds: float, what: str):
+    """Raise TimeoutError in the main thread once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} exceeded {seconds:g} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _all_pass(results):
     bad = [r for r in results if not r.passed]
     assert not bad, "failed: " + ", ".join(
-        f"{r.name} (expected {r.expected}, got {r.computed})" for r in bad)
+        f"{r.name} (expected {r.expected}, got {r.computed}; {r.detail})"
+        for r in bad)
 
 
 def test_criterion_01_subgroup_census():
@@ -76,16 +91,8 @@ def test_criterion_05_degree_inequalities_sweep():
 
 def test_criterion_06_commutant_intersection_bound():
     t0 = time.monotonic()
-    rng = np.random.default_rng(1)
-    for group in smallgroups.all_test_groups():
-        n = len(group.elements)
-        for g1 in range(n):
-            for g2 in range(n):
-                _, _, inter, bound = unitary.lemma21_construct(
-                    group, g1, g2, rng=rng)
-                assert inter >= math.ceil(bound), (
-                    f"{group.name}: pair ({g1},{g2}) has intersection "
-                    f"{inter} < ceil({bound})")
+    # every pair of every test group is checked against ceil(bound)
+    _all_pass(verify_lemma21(seed=1))
     assert time.monotonic() - t0 < 300, "pair sweep exceeded 5 minutes"
 
 
@@ -96,7 +103,10 @@ def graph13():
 
 @pytest.fixture(scope="module")
 def path13(graph13):
-    return acyclic.search_attaching_path(graph13, seed=1, budget=20000)
+    # The search ends at its budget or at the time limit, whichever is first:
+    # run to the full budget without finding a path, it took 460-820 s.
+    with time_limit(120, "attaching-path search at q=13"):
+        return acyclic.search_attaching_path(graph13, seed=1, budget=20000)
 
 
 def test_criterion_07_partition_of_unity_and_lift(graph13, path13):
@@ -129,7 +139,7 @@ def test_criterion_09_character_orthogonality():
 
 def test_criterion_10_deterministic_reports():
     config = RunConfig(q=13, checks=("census", "moduli-dim", "degree"),
-                       seed=7, budget=100, fmt="json", out=None, jobs=1)
+                       seed=7, budget=100, fmt="json", out=None)
     first = cli.run(config).render()
     second = cli.run(config).render()
     assert first.encode() == second.encode()

@@ -109,11 +109,3 @@ def test_enumeration_deterministic():
 def test_dump_group_format(sl13):
     line = groups.dump_group(sl13).splitlines()[0]
     assert len(line.split()) == 5    # index + four matrix entries
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SL2V_CACHE_DIR", str(tmp_path))
-    a = groups.enumerate_group(13, "SL")
-    assert (tmp_path / "group_v1_SL_13.pkl").exists()
-    b = groups.enumerate_group(13, "SL")
-    assert a.elements == b.elements and a.gen_b == b.gen_b

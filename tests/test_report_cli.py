@@ -3,14 +3,14 @@ import json
 import jsonschema
 import pytest
 
-from sl2cert import acyclic, cli, report
+from sl2cert import acyclic, cli, report, verify
 from sl2cert.report import Report, RunConfig
 from sl2cert.verify import CheckResult
 
 
 def _config(**kw):
     base = dict(q=13, checks=("census",), seed=1, budget=10,
-                fmt="json", out=None, jobs=1)
+                fmt="json", out=None)
     base.update(kw)
     return RunConfig(**base)
 
@@ -59,6 +59,42 @@ def test_cli_all_expansion_order():
 def test_cli_usage_errors():
     assert cli.main(["--q", "15", "--checks", "census"]) == 2
     assert cli.main(["--q", "13", "--checks", "bogus"]) == 2
+
+
+def test_cli_has_no_jobs_option():
+    assert cli.main(["--q", "13", "--checks", "census", "--jobs", "2"]) == 2
+
+
+def test_config_keys_are_the_schema_config_keys():
+    schema = report.load_schema()["properties"]["config"]
+    assert set(_config().as_dict()) == set(schema["required"])
+    assert set(schema["properties"]) == set(schema["required"])
+
+
+def test_cli_looks_up_verify_functions_at_run_time(monkeypatch):
+    calls = []
+    census = verify.verify_prop31
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+    monkeypatch.setattr(verify, "verify_prop31", counting)
+    rep = cli.run(_config())
+    assert len(calls) == 1 and rep.verdict == "pass"
+
+
+def test_cli_raising_check_is_a_failed_result(monkeypatch):
+    def broken(self, name):
+        raise RuntimeError(f"no commutant for {name}")
+    monkeypatch.setattr(verify.Session, "dim", broken)
+    rep = cli.run(_config(checks=("centralizers", "census")))
+    failed = [r for r in rep.results if not r.passed]
+    assert [r.name for r in failed] == [
+        "commutant_dim[Cq-1]", "commutant_dim[C4]", "commutant_dim[Q8]",
+        "commutant_dim[C6]", "commutant_dim[B]", "commutant_dim[2Dq-1]",
+        "commutant_dim[2Dq+1]", "commutant_dim[SL2_3]"]
+    assert failed[0].computed == "RuntimeError: no commutant for Cq-1"
+    assert all(r.passed for r in rep.results if r.name.startswith("census"))
 
 
 def test_cli_exit_zero_and_output(tmp_path):

@@ -97,8 +97,3 @@ def test_amqm_bound_rational(ns, ks):
     s = sum(Fraction(v) for v in vals)
     sq = sum(Fraction(v) ** 2 for v in vals)
     assert sq >= s * s / len(vals)
-
-
-def test_ad_central_trivial():
-    assert unitary.ad_central_trivial(1j * np.eye(3))
-    assert not unitary.ad_central_trivial(np.diag([1.0, -1.0]))
