@@ -121,7 +121,7 @@ CHECKS = {
     "moduli-dim": lambda run: [verify.moduli_dimension_identity(
         run.q, k, run.session) for k in (0, 1, 2, 3)],
     "degree": lambda run: verify.degree_inequalities(run.q, run.session),
-    "lemma21": lambda run: verify.verify_lemma21(run.config.seed),
+    "lemma21": lambda run: verify.verify_lemma21(),
     "chartable": _run_chartable,
     "graph": _run_graph,
     "acyclicity": _run_acyclicity,

@@ -5,14 +5,10 @@ canonical power basis (degree < phi(N), modulo the N-th cyclotomic
 polynomial) is performed lazily: sums and products keep exponents in
 Z[x]/(x^N - 1) and only equality tests, rationality tests and serialization
 force the canonical form.  This keeps long inner-product loops cheap.
-
-A complex-float embedding exists for cross-checks and reporting only; no
-decision in this package is ever based on it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -252,11 +248,6 @@ class Cyclo:
         if r.denominator != 1:
             raise NotRational(f"not an integer: {r}")
         return r.numerator
-
-    def embed(self) -> complex:
-        """Float embedding zeta_n -> exp(2 pi i / n); cross-checks only."""
-        return sum(float(v) * cmath.exp(2j * cmath.pi * e / self.n)
-                   for e, v in self.coeffs.items())
 
     def serialize(self) -> str:
         """Exact text form `N:c0/d0,c1/d1,...` over the canonical basis."""

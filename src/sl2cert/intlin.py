@@ -150,6 +150,7 @@ def hadamard_bound(mat: np.ndarray) -> int:
 
 
 UNIT_PIVOT_LIMIT = 1 << 31
+DIXON_MAX_DIGITS = 4000
 
 
 def unit_pivot_reduce(mat: np.ndarray) -> tuple[int, np.ndarray]:
@@ -211,13 +212,13 @@ def det_crt(mat: np.ndarray) -> tuple[int, list[int], int]:
 
 
 def dixon_solve(a_cols: list[dict[int, int]], n_rows: int, b: dict[int, int],
-                p: int, max_digits: int = 4000) -> list[Fraction] | None:
+                p: int) -> list[Fraction] | None:
     """Solve A x = b over Q by p-adic (Dixon) lifting.
 
     `a_cols` gives A column-wise as sparse {row: value} dicts; the system must
     be square (len(a_cols) == n_rows) and nonsingular mod p.  Returns exact
     rational solution (verified by the caller) or None if reconstruction
-    fails within `max_digits` lifting steps.
+    fails within `DIXON_MAX_DIGITS` lifting steps.
     """
     n = n_rows
     assert len(a_cols) == n
@@ -233,7 +234,7 @@ def dixon_solve(a_cols: list[dict[int, int]], n_rows: int, b: dict[int, int],
     residual = list(b_vec)
     digits: list[np.ndarray] = []
     mod = 1
-    for step in range(max_digits):
+    for step in range(DIXON_MAX_DIGITS):
         r_mod = np.array([ri % p for ri in residual], dtype=np.int64)
         x_dig = inv.dot(r_mod) % p
         digits.append(x_dig)
@@ -268,8 +269,8 @@ def _inverse_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
     return red[:, n:]
 
 
-def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int, n_cols: int,
-                      max_pivots: int | None = None) -> list[int]:
+def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
+                      n_cols: int) -> list[int]:
     """Invariant factors of a sparse integer matrix.
 
     `rows` maps row index -> {col: value}.  Uses greedy pivoting that prefers
@@ -299,7 +300,7 @@ def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int, n_cols: int,
                     del cols[j]
 
     diagonal: list[int] = []
-    limit = max_pivots if max_pivots is not None else min(n_rows, n_cols)
+    limit = min(n_rows, n_cols)
     while rows and len(diagonal) < limit:
         # Pick pivot: smallest |value|, ties by fewest row+col nonzeros.
         best = None

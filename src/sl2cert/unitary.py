@@ -1,12 +1,17 @@
-"""Numerical unitary toolkit: finite-order eigenprojectors, commutant
-dimensions, and the constructive two-element diagonalizer with its
-m^2/(k1 k2) intersection bound.
+"""Numerical unitary toolkit: finite-order eigenprojectors and the
+constructive two-element diagonalizer with its m^2/(k1 k2) intersection
+bound.
 
-Everything here is float (complex128) with explicit tolerances; the exact
-counterparts live in the character-table module and serve as oracles.
+The diagonalizers are float (complex128) witnesses with explicit
+tolerances; the intersection dimension is an exact count of exponent pairs.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,11 +31,12 @@ def assert_unitary(m: np.ndarray, tol: float = UNITARY_TOL * 100) -> None:
         raise ToleranceError(f"matrix is not unitary (defect {err:.2e})")
 
 
-def eigenprojectors(m: np.ndarray, n: int) -> list[tuple[complex, np.ndarray]]:
-    """Spectral projectors of a unitary with m^n = 1.
+def eigenprojectors(m: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """Spectral projectors of a unitary with m^n = 1, as (j, P_j).
 
-    P_j = (1/n) sum_k zeta_n^{-jk} m^k.  Only projectors of nonzero rank are
-    returned, in increasing order of j.
+    P_j = (1/n) sum_k zeta_n^{-jk} m^k projects onto the eigenvalue
+    zeta_n^j.  Only projectors of nonzero rank are returned, in increasing
+    order of j.
     """
     dim = m.shape[0]
     powers = [np.eye(dim, dtype=complex)]
@@ -47,7 +53,7 @@ def eigenprojectors(m: np.ndarray, n: int) -> list[tuple[complex, np.ndarray]]:
             continue
         if np.abs(p @ p - p).max() > TOL:
             raise ToleranceError("projector is not idempotent within tolerance")
-        out.append((zeta ** j, p))
+        out.append((j, p))
     total = sum(p for _, p in out)
     if np.abs(total - np.eye(dim)).max() > TOL:
         raise ToleranceError("projectors do not resolve the identity")
@@ -78,93 +84,80 @@ def _range_basis(p: np.ndarray, rng: np.random.Generator | None = None) -> np.nd
     return np.array(basis).conj()
 
 
-def commutant_dim(mats: list[np.ndarray]) -> int:
-    """Complex dimension of {X : XA = AX for all A}, via stacked SVD."""
-    m = mats[0].shape[0]
-    eye = np.eye(m)
-    ops = [np.kron(a, eye) - np.kron(eye, a.T) for a in mats]
-    stacked = np.vstack(ops)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    cutoff = TOL * max(sv[0], 1.0)
-    return int(np.sum(sv <= cutoff))
-
-
-def commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Matrices spanning the joint commutant (from SVD null vectors)."""
-    m = mats[0].shape[0]
-    eye = np.eye(m)
-    ops = [np.kron(a, eye) - np.kron(eye, a.T) for a in mats]
-    stacked = np.vstack(ops)
-    _, sv, vh = np.linalg.svd(stacked)
-    cutoff = TOL * max(sv[0] if len(sv) else 1.0, 1.0)
-    null_rows = [i for i in range(vh.shape[0])
-                 if i >= len(sv) or sv[i] <= cutoff]
-    return [vh[i].conj().reshape(m, m) for i in null_rows]
-
-
-def _group_commutant_basis(group: SmallGroup) -> list[np.ndarray]:
-    basis = getattr(group, "_commutant_basis", None)
-    if basis is None:
-        basis = commutant_basis([group.rep(i) for i in range(group.n)])
-        group._commutant_basis = basis
+def _commutant_basis(group: SmallGroup) -> list[np.ndarray]:
+    """E_st (x) I_d for every pair of blocks s, t sharing a rep_id: by Schur's
+    lemma the commutant of rho(G), once blocks sharing an id are checked equal
+    and the character norm (1/|G|) sum_g |tr rho(g)|^2 equal to sum mult_id^2
+    (so no block is reducible or equivalent to one with another id)."""
+    first: dict[str, np.ndarray] = {}
+    starts: dict[str, list[int]] = {}
+    at = 0
+    for b in group.blocks:
+        if not np.array_equal(first.setdefault(b.rep_id, b.matrices), b.matrices):
+            raise ToleranceError(f"blocks sharing rep_id {b.rep_id!r} differ")
+        starts.setdefault(b.rep_id, []).append(at)
+        at += b.dim
+    traces = sum(np.trace(b.matrices, axis1=1, axis2=2) for b in group.blocks)
+    norm = np.sum(np.abs(traces) ** 2) / group.n
+    if abs(norm - sum(len(s) ** 2 for s in starts.values())) > TOL:
+        raise ToleranceError(f"character norm {norm:.6f}: a block is reducible "
+                             "or equivalent to one with another rep_id")
+    basis = []
+    for rep_id, ss in starts.items():
+        d = first[rep_id].shape[1]
+        for s, t in itertools.product(ss, ss):
+            x = np.zeros((group.m, group.m))
+            x[s:s + d, t:t + d] = np.eye(d)
+            basis.append(x)
     return basis
 
 
 def _block_diagonalizer(group: SmallGroup, g: int,
-                        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Unitary A with A rho(g) A^-1 diagonal, computed block by block with
-    the same diagonalizer reused on identical blocks."""
+                        rng: np.random.Generator | None = None
+                        ) -> tuple[np.ndarray, list[int]]:
+    """Unitary A with A rho(g) A^-1 = diag(zeta_n^{e_i}) and the exponents e,
+    computed block by block with the same diagonalizer reused on identical
+    blocks."""
     n = group.order(g)
-    per_rep: dict[str, np.ndarray] = {}
-    parts = []
+    per_rep: dict[str, tuple[np.ndarray, list[int]]] = {}
+    out = np.zeros((group.m, group.m), dtype=complex)
+    exps: list[int] = []
+    at = 0
     for block in group.blocks:
         if block.rep_id not in per_rep:
-            rows = []
-            for _, proj in eigenprojectors(block.matrices[g], n):
-                rows.append(_range_basis(proj, rng))
-            per_rep[block.rep_id] = np.vstack(rows)
-        parts.append(per_rep[block.rep_id])
-    m = group.m
-    out = np.zeros((m, m), dtype=complex)
-    at = 0
-    for part in parts:
-        d = part.shape[0]
-        out[at:at + d, at:at + d] = part
-        at += d
+            spaces = [(j, _range_basis(p, rng))
+                      for j, p in eigenprojectors(block.matrices[g], n)]
+            per_rep[block.rep_id] = (np.vstack([rows for _, rows in spaces]),
+                                     [j for j, rows in spaces for _ in rows])
+        part, block_exps = per_rep[block.rep_id]
+        out[at:at + block.dim, at:at + block.dim] = part
+        exps += block_exps
+        at += block.dim
     assert_unitary(out)
-    return out
+    want = np.diag(np.exp(2j * np.pi * np.array(exps) / n))
+    if np.abs(out @ group.rep(g) @ out.conj().T - want).max() > TOL:
+        raise ToleranceError(f"A does not diagonalize rho({g}) to its exponents")
+    return out, exps
 
 
 def lemma21_construct(group: SmallGroup, g1: int, g2: int,
                       rng: np.random.Generator | None = None):
     """Diagonalizers A1, A2 for rho(g1), rho(g2) with the intersection bound.
 
-    Returns (A1, A2, intersection_dim, bound) where intersection_dim is the
-    complex dimension of the joint commutant of the two diagonalized images
-    and bound = m^2/(k1 k2) with k_i the eigenvalue counts.  The bound must
-    hold; a violation raises.
+    Returns (A1, A2, intersection_dim, bound): intersection_dim is the
+    dimension of the joint commutant of the two diagonalized images, the sum
+    of squared multiplicities of their eigenvalue pairs, and bound =
+    Fraction(m^2, k1 k2) with k_i the eigenvalue counts.  A violation raises.
     """
-    a1 = _block_diagonalizer(group, g1, rng)
-    a2 = _block_diagonalizer(group, g2, rng)
-    r1 = group.rep(g1)
-    r2 = group.rep(g2)
-    d1 = a1 @ r1 @ a1.conj().T
-    d2 = a2 @ r2 @ a2.conj().T
-    if np.abs(d1 - np.diag(np.diag(d1))).max() > TOL:
-        raise ToleranceError("A1 does not diagonalize rho(g1)")
-    if np.abs(d2 - np.diag(np.diag(d2))).max() > TOL:
-        raise ToleranceError("A2 does not diagonalize rho(g2)")
-    k1 = len(eigenprojectors(r1, group.order(g1)))
-    k2 = len(eigenprojectors(r2, group.order(g2)))
+    a1, e1 = _block_diagonalizer(group, g1, rng)
+    a2, e2 = _block_diagonalizer(group, g2, rng)
     # A1^-1 A2 must commute with the commutant of the whole image
     w = a1.conj().T @ a2
-    for x in _group_commutant_basis(group):
+    for x in _commutant_basis(group):
         if np.abs(w @ x - x @ w).max() > TOL * 10:
             raise ToleranceError("A1^-1 A2 does not commute with the commutant")
-    inter = commutant_dim([d1, d2])
-    bound = group.m ** 2 / (k1 * k2)
-    if inter + 1e-9 < bound:
-        raise ToleranceError(
-            f"intersection dim {inter} below bound {bound}")
+    inter = sum(c * c for c in Counter(zip(e1, e2)).values())
+    bound = Fraction(group.m ** 2, len(set(e1)) * len(set(e2)))
+    if inter < math.ceil(bound):
+        raise ToleranceError(f"intersection dim {inter} below bound {bound}")
     return a1, a2, inter, bound
-

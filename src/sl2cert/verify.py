@@ -15,8 +15,6 @@ from fractions import Fraction
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import chartab, groups, smallgroups, unitary
 from .groups import ClassLabel
 
@@ -105,6 +103,21 @@ def _expected_censuses(q: int) -> dict[str, dict[ClassLabel, int]]:
     return exp
 
 
+def _expected_dims(q: int) -> dict[str, int]:
+    """Closed-form commutant dimensions of the eight subgroups."""
+    return {
+        "Cq-1": (q - 1) // 2,
+        "C4": (q - 1) ** 2 // 8,
+        "Q8": (q - 1) ** 2 // 16,
+        "C6": (q - 1) ** 2 // 12 if q % 3 == 1 else (q * q - 2 * q + 9) // 12,
+        "B": 1,
+        "2Dq-1": (q - 1) // 4,
+        "2Dq+1": (q - 1) // 4,
+        "SL2_3": ((q - 1) ** 2 // 48 if q % 3 == 1
+                  else ((q - 1) ** 2 + 32) // 48),
+    }
+
+
 def verify_prop31(q: int, session: Session | None = None) -> list[CheckResult]:
     """Census of each stabilizer subgroup against its closed form."""
     ses = session or Session(q)
@@ -127,17 +140,7 @@ def verify_prop31(q: int, session: Session | None = None) -> list[CheckResult]:
 def verify_commutant_dims(q: int, session: Session | None = None) -> list[CheckResult]:
     """Commutant dimensions of the degree-(q-1)/2 stabilizer restrictions."""
     ses = session or Session(q)
-    expect_dims = {
-        "Cq-1": (q - 1) // 2,
-        "C4": (q - 1) ** 2 // 8,
-        "Q8": (q - 1) ** 2 // 16,
-        "C6": (q - 1) ** 2 // 12 if q % 3 == 1 else (q * q - 2 * q + 9) // 12,
-        "B": 1,
-        "2Dq-1": (q - 1) // 4,
-        "2Dq+1": (q - 1) // 4,
-        "SL2_3": ((q - 1) ** 2 // 48 if q % 3 == 1
-                  else ((q - 1) ** 2 + 32) // 48),
-    }
+    expect_dims = _expected_dims(q)
 
     def check(name: str) -> CheckResult:
         return _check(f"commutant_dim[{name}]", expect_dims[name], ses.dim(name))
@@ -241,8 +244,9 @@ def degree_inequality_sweep(q_max: int = 200) -> list[CheckResult]:
         m = (q - 1) // 2
         floor = Fraction((q - 1) ** 2, 24)
         amqm = Fraction(m * m, k1 * k2)
-        val13 = dim_g - (q - 1) ** 2 // 8 + (q - 1) // 4
-        val5 = dim_g + (q - 1) // 4 - math.ceil(floor)
+        dims = _expected_dims(q)
+        val13 = dim_g - dims["C4"] + dims["2Dq+1"]
+        val5 = dim_g + dims["2Dq+1"] - math.ceil(floor)
         ok = (k1 == 2 and k2 == 3 and amqm == floor
               and val13 < dim_g and val5 < dim_g)
         return CheckResult(f"degree_sweep[q={q}]", ok, f"< {dim_g}",
@@ -252,21 +256,18 @@ def degree_inequality_sweep(q_max: int = 200) -> list[CheckResult]:
             for q in range(7, q_max) if groups.valid_q(q)]
 
 
-def verify_lemma21(seed: int = 1) -> list[CheckResult]:
+def verify_lemma21() -> list[CheckResult]:
     """Lemma 2.1 on every ordered pair of elements of each small test group.
 
     The conjugated commutants of a pair must meet in dimension at least
-    ceil(m^2 / (k1 k2)); each group draws its diagonalizers from a fresh
-    generator seeded with `seed`, and the result names the worst pair.
+    ceil(m^2 / (k1 k2)); the result names the worst pair.
     """
     def sweep(group: smallgroups.SmallGroup) -> CheckResult:
-        rng = np.random.default_rng(seed)
         n = len(group.elements)
         worst = None
         for g1 in range(n):
             for g2 in range(n):
-                _, _, inter, bound = unitary.lemma21_construct(
-                    group, g1, g2, rng=rng)
+                _, _, inter, bound = unitary.lemma21_construct(group, g1, g2)
                 margin = inter - math.ceil(bound)
                 if worst is None or margin < worst[0]:
                     worst = (margin, g1, g2)

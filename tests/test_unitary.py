@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,8 +26,10 @@ def test_eigenprojectors_resolve_identity(q8):
     projs = unitary.eigenprojectors(q8.rep(g), n)
     total = sum(p for _, p in projs)
     assert np.allclose(total, np.eye(q8.m), atol=1e-10)
-    for lam, p in projs:
-        assert abs(abs(lam) - 1) < 1e-10
+    assert [j for j, _ in projs] == sorted({j for j, _ in projs})
+    for j, p in projs:
+        assert j in range(n)
+        lam = np.exp(2j * np.pi * j / n)
         assert np.allclose(p @ p, p, atol=1e-9)
         assert np.allclose(q8.rep(g) @ p, lam * p, atol=1e-9)
 
@@ -46,17 +49,47 @@ def test_assert_unitary_rejects():
         unitary.assert_unitary(np.diag([1.0, 2.0]))
 
 
-def test_commutant_dim_of_abelian_regular():
-    c12 = smallgroups.cyclic_group(12)
-    mats = [c12.rep(i) for i in range(c12.n)]
-    # twelve 1-dim blocks, one repeated: commutant dim = sum over
-    # distinct irreps of multiplicity^2
-    dim = unitary.commutant_dim(mats)
-    mult = {}
-    for b in c12.blocks:
-        key = b.rep_id
-        mult[key] = mult.get(key, 0) + 1
-    assert dim == sum(m * m for m in mult.values())
+def _svd_commutant_dim(mats: list[np.ndarray]) -> int:
+    """Reference: nullity of the stacked maps X -> AX - XA, by SVD."""
+    m = mats[0].shape[0]
+    eye = np.eye(m)
+    stacked = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in mats])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(sv <= 1e-8 * max(sv[0], 1.0)))
+
+
+@pytest.mark.parametrize("make", [smallgroups.quaternion_group,
+                                  smallgroups.dihedral_group])
+def test_intersection_count_matches_svd_rank(make):
+    group = make()
+    for g1 in range(group.n):
+        for g2 in range(group.n):
+            a1, a2, inter, _ = unitary.lemma21_construct(group, g1, g2)
+            d1 = a1 @ group.rep(g1) @ a1.conj().T
+            d2 = a2 @ group.rep(g2) @ a2.conj().T
+            assert inter == _svd_commutant_dim([d1, d2])
+
+
+def _relabelled_q8(ids: dict[str, str], twin: str | None = None):
+    """Q8 with some rep_ids renamed; `twin` renames the second 2-dim copy."""
+    group = smallgroups.quaternion_group()
+    blocks = [dataclasses.replace(b, rep_id=ids.get(b.rep_id, b.rep_id))
+              for b in group.blocks]
+    if twin is not None:
+        blocks[-1] = dataclasses.replace(blocks[-1], rep_id=twin)
+    group.blocks = blocks
+    return group
+
+
+@pytest.mark.parametrize("group", [
+    _relabelled_q8({"chi_j": "chi_i"}),     # inequivalent blocks, one id
+    _relabelled_q8({}, twin="two_b"),       # equivalent blocks, two ids
+], ids=["one-id-for-two-irreps", "two-ids-for-one-irrep"])
+def test_mislabelled_blocks_raise_on_every_pair(group):
+    for g1 in range(group.n):
+        for g2 in range(group.n):
+            with pytest.raises(unitary.ToleranceError):
+                unitary.lemma21_construct(group, g1, g2)
 
 
 def test_lemma21_q8_pair(q8):
