@@ -6,6 +6,7 @@ every comparison is exact.
 """
 
 import contextlib
+import hashlib
 import json
 import signal
 import time
@@ -107,6 +108,14 @@ def path13(graph13):
     # run to the full budget without finding a path, it took 460-820 s.
     with time_limit(120, "attaching-path search at q=13"):
         return acyclic.search_attaching_path(graph13, seed=1, budget=20000)
+
+
+def test_seed_1_walk_is_pinned(path13):
+    # the walk the exact search constructs at q = 13, seed 1
+    assert len(path13) == 37539
+    digest = hashlib.sha256(path13.dumps().encode()).hexdigest()
+    assert digest == ("5d8e1378a0dc7f4a2b40765be50b2a17"
+                      "32d961043fb22b2f4aad59894ea7297b")
 
 
 def test_criterion_07_partition_of_unity_and_lift(graph13, path13):
