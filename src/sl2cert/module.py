@@ -35,6 +35,12 @@ is read off an LLL-reduced basis (sympy's exact LLL).  No floating point
 takes part: every matrix, ideal and unit is exact, and float64 appears only
 in products of integer arrays whose sums stay below 2^53 (bounds stated at
 each use).
+
+Exact linear algebra.  Determinants, solves, inverses and characteristic
+polynomials over Z and Q use sympy's DomainMatrix (domains ZZ and QQ).  The
+lattice code stays here: Hermite bases (`hnf_rows`), covolumes modulo a
+bound (`lattice_det`) and the LLL reduction in the trace form of K, which
+sympy's LLL (standard inner product only) does not cover.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from sympy import QQ, ZZ
+from sympy.polys.euclidtools import dup_discriminant
+from sympy.polys.matrices import DomainMatrix
 
 from .cyclo import Cyclo
 from .groups import ClassLabel
@@ -64,109 +73,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def det_int(mat) -> int:
-    """Exact determinant of a small integer matrix (fraction-free Bareiss)."""
-    a = [[int(v) for v in row] for row in mat]
-    m = len(a)
-    if m == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, m) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, m):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, m):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-        prev = akk
-    return sign * a[m - 1][m - 1]
-
-
-def _solve(a, b) -> list[list[Fraction]]:
-    """Exact solution X of A X = B for a nonsingular square A."""
-    m = len(a)
-    rows = [[Fraction(v) for v in a[i]] + [Fraction(v) for v in b[i]]
-            for i in range(m)]
-    for c in range(m):
-        p = next(i for i in range(c, m) if rows[i][c] != 0)
-        rows[c], rows[p] = rows[p], rows[c]
-        pv = rows[c][c]
-        rows[c] = [v / pv for v in rows[c]]
-        for i in range(m):
-            f = rows[i][c]
-            if i != c and f != 0:
-                rows[i] = [u - f * w for u, w in zip(rows[i], rows[c])]
-    return [row[m:] for row in rows]
-
-
-def _mmul(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def _madd(a, b):
-    return [[u + v for u, v in zip(r, s)] for r, s in zip(a, b)]
-
-
-def _mscale(a, c):
-    return [[u * c for u in r] for r in a]
-
-
-def _mvec(a, v):
-    return [sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a))]
-
-
-def _eye(k: int):
-    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-
-
-def _mdet(a) -> Fraction:
-    a = [[Fraction(v) for v in r] for r in a]
-    m, d = len(a), Fraction(1)
-    for c in range(m):
-        p = next((i for i in range(c, m) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            d = -d
-        d *= a[c][c]
-        for i in range(c + 1, m):
-            f = a[i][c] / a[c][c]
-            if f:
-                a[i] = [u - f * w for u, w in zip(a[i], a[c])]
-    return d
-
-
-def _minv(a):
-    return _solve(a, _eye(len(a)))
-
-
-def _charpoly(a) -> list[Fraction]:
-    """Coefficients c_0..c_k of det(tI - A) (Faddeev-LeVerrier)."""
-    k = len(a)
-    m = [[Fraction(0)] * k for _ in range(k)]
-    c = [Fraction(0)] * k + [Fraction(1)]
-    for j in range(1, k + 1):
-        m = _madd(_mmul(a, m), _mscale(_eye(k), c[k - j + 1]))
-        am = _mmul(a, m)
-        c[k - j] = -sum(am[i][i] for i in range(k)) / j
-    return c
-
-
-def _common_denominator(values) -> int:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return den
 
 
 def hnf_rows(vectors) -> list[list[int] | None]:
@@ -370,7 +276,7 @@ def _closure(mul, elems) -> set[int]:
     return seen
 
 
-def rank_one_element(graph, table, labels) -> tuple[np.ndarray, str]:
+def rank_one_element(graph, table, labels) -> np.ndarray:
     """x = sum_{h in H} psi(h) h inducing every non-trivial irreducible once.
 
     H runs over the vertex and edge stabilizers (as PSL subgroups), psi over
@@ -379,9 +285,9 @@ def rank_one_element(graph, table, labels) -> tuple[np.ndarray, str]:
     mul = graph.psl._cayley
     z = ClassLabel("z")
     chars = [ch for ch in table.characters if ch.values[z] == ch.degree]
-    subgroups = [(v, graph.vertex_stabs[v].elements) for v in graph.vertex_stabs]
-    subgroups += [(e, eo.stabilizer.elements) for e, eo in graph.edge_orbits.items()]
-    for name, sl_elems in subgroups:
+    subgroups = [stab.elements for stab in graph.vertex_stabs.values()]
+    subgroups += [eo.stabilizer.elements for eo in graph.edge_orbits.values()]
+    for sl_elems in subgroups:
         h = sorted({graph.proj(i) for i in sl_elems})
         squares = _closure(mul, sorted({int(mul[a, a]) for a in h}))
         kernels = [set(h)]
@@ -401,7 +307,7 @@ def rank_one_element(graph, table, labels) -> tuple[np.ndarray, str]:
                 x = np.zeros(len(labels), dtype=np.int64)
                 for a in h:
                     x[a] = 1 if a in kernel else -1
-                return x, f"{name}, kernel of order {len(kernel)}"
+                return x
     raise ValueError("no stabilizer character induces every irreducible once")
 
 
@@ -432,10 +338,10 @@ class Block:
         self.gk = _independent_rows(eps[mul[:, inv]].T, self.m)
         _, cols = rref_mod(np.array([erow(int(g)) for g in self.gk]))
         self.egk = np.array([erow(g) for g in self.gk])
-        d_lam = abs(det_int(self.egk[:, cols]))
+        d_lam = abs(DomainMatrix.from_list(self.egk[:, cols].tolist(), ZZ).det())
         det_lam = lattice_det([erow(g)[cols] for g in range(n)], d_lam)
         _, jk = rref_mod(pj)
-        d_h = abs(det_int(pj[:, jk]))
+        d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
         det_h = lattice_det(list(pj.T), d_h)
         self.kappa = Fraction(det_h * d_lam, det_lam)
 
@@ -444,7 +350,8 @@ class Block:
         return self.egk @ edge_vec[layer.rows[:, self.J]]
 
     def det(self, layer: "ModuleLayer", edge_vec: np.ndarray) -> int:
-        v = Fraction(det_int(self.x0(layer, edge_vec))) / self.kappa
+        x0 = DomainMatrix.from_list(self.x0(layer, edge_vec).tolist(), ZZ)
+        v = Fraction(x0.det()) / self.kappa
         if v.denominator != 1:
             raise ArithmeticError(f"block {self.name}: non-integral determinant {v}")
         return v.numerator
@@ -455,7 +362,6 @@ class ModuleLayer:
 
     def __init__(self, graph, cycles, table):
         self.graph = graph
-        self.cycles = cycles
         psl = graph.psl
         psl.build_cayley()
         self.n = psl.n
@@ -470,7 +376,7 @@ class ModuleLayer:
         self.labels = [graph.sl.labels[graph.proj.lift(i)] for i in range(self.n)]
         self.table = table
         self.classes = galois_classes(table)
-        self.x, self.x_source = rank_one_element(graph, table, self.labels)
+        self.x = rank_one_element(graph, table, self.labels)
         self.blocks: list[Block] = []
         for gc in self.classes:
             ce = central_element(table, self.labels, gc, self.inv)
@@ -502,10 +408,6 @@ class ModuleLayer:
     def non_units(self, dets: dict[str, int]) -> list[str]:
         return [name for name, s in dets.items() if abs(s) != 1]
 
-    def translate(self, g: int, cls: np.ndarray) -> np.ndarray:
-        """Class of g.y."""
-        return self.edge_vector(cls)[self.trans[int(self.inv[g])]][self.cycles.non_tree]
-
     def act(self, a: np.ndarray, cls: np.ndarray) -> np.ndarray:
         """Class of a.y for a in Z[G]."""
         return a @ self.edge_vector(cls)[self.rows]
@@ -530,38 +432,39 @@ class ModuleLayer:
 # -- repair: one affine family of moves for all blocks ---------------------------
 
 
+def _krylov(mat: DomainMatrix, vec) -> DomainMatrix:
+    """The matrix over QQ with columns vec, mat vec, ..., mat^(k-1) vec."""
+    cols = [DomainMatrix.from_list([[v] for v in vec], QQ)]
+    for _ in range(mat.shape[0] - 1):
+        cols.append(mat * cols[-1])
+    return cols[0].hstack(*cols[1:])
+
+
 @dataclass
 class _FieldData:
     """Intrinsic data of a character field K = Q(eta), O_K = Z[eta]."""
-    mult: list            # k x k matrix of multiplication by eta in eta-coordinates
-    units: list           # eta-coordinates of units, small products first
+    mult: DomainMatrix     # multiplication by eta in eta-coordinates, over QQ
+    units: list            # eta-coordinates of units, small products first
 
-    def matrix(self, a):
-        """Matrix of multiplication by sum_j a_j eta^j."""
-        if not hasattr(self, "_powers"):
-            self._powers = [_eye(len(a))]
-            for _ in range(len(a) - 1):
-                self._powers.append(_mmul(self._powers[-1], self.mult))
-        k = len(a)
-        return [[sum(a[j] * self._powers[j][r][c] for j in range(k)) for c in range(k)]
-                for r in range(k)]
+    def matrix(self, a) -> DomainMatrix:
+        """Matrix of multiplication by a = sum_j a_j eta^j (columns a eta^j)."""
+        return _krylov(self.mult, a)
 
-    def norm(self, a) -> Fraction:
-        return _mdet(self.matrix(a))
+    def norm(self, a):
+        return self.matrix(a).det()
 
     def trace_form(self, a, b) -> Fraction:
-        p = _mmul(self.matrix(a), self.matrix(b))
-        return sum(p[i][i] for i in range(len(a)))
+        t = sum((self.matrix(a) * self.matrix(b)).diagonal())
+        return Fraction(t.numerator, t.denominator)
 
 
 def _field_data(charpoly) -> _FieldData:
+    """Field data for the characteristic polynomial of eta, listed from t^k down."""
     k = len(charpoly) - 1
-    mult = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k - 1):
-        mult[j + 1][j] = Fraction(1)
+    mult = [[int(i == j + 1) for j in range(k)] for i in range(k)]
     for i in range(k):
-        mult[i][k - 1] = -charpoly[i]
-    fd = _FieldData(mult, [])
+        mult[i][k - 1] = -charpoly[k - i]
+    fd = _FieldData(DomainMatrix.from_list(mult, QQ), [])
     if k == 1:
         fd.units = [(1,), (-1,)]
         return fd
@@ -581,8 +484,9 @@ def _field_data(charpoly) -> _FieldData:
     # unit matrices are integral with integral inverses: int64 products suffice
     powers = []
     for g in gens:
-        mat = np.array(fd.matrix(g), dtype=np.int64)
-        inv = np.array(_minv(fd.matrix(g)), dtype=np.int64)
+        mat = fd.matrix(g)
+        inv = np.array(mat.inv().convert_to(ZZ).to_list(), dtype=np.int64)
+        mat = np.array(mat.convert_to(ZZ).to_list(), dtype=np.int64)
         table = {0: np.eye(k, dtype=np.int64)}
         for e in range(1, span + 1):
             table[e] = table[e - 1] @ mat
@@ -645,12 +549,12 @@ def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
         raise RepairFailed(f"block {block.name}: x has rank {len(idx)}, not {k}")
     bm = ex[idx]
     _, cols = rref_mod(bm)
-    binv = _minv([[int(v) for v in bm[i, cols]] for i in range(k)])
-    f = [[sum(Fraction(int(ex[r, cols[t]])) * binv[t][i] for t in range(k))
-          for i in range(k)] for r in range(m)]
-    sf = _solve(block.x0(layer, vec_y).tolist(), f)          # S^-1 F, m x k
-    den = _common_denominator(v for row in sf for v in row)
-    sfi = np.array([[int(v * den) for v in row] for row in sf], dtype=object)
+    binv = DomainMatrix.from_list(bm[:, cols].tolist(), QQ).inv()
+    f = DomainMatrix.from_list(ex[:, cols].tolist(), QQ) * binv
+    x0 = DomainMatrix.from_list(block.x0(layer, vec_y).tolist(), QQ)
+    sf = x0.lu_solve(f)                                       # S^-1 F, m x k
+    den, sfi = sf.clear_denoms(convert=True)
+    den, sfi = den.element, np.array(sfi.to_list(), dtype=object)
     # C_j[i, :] = sum_x bm[i, x] fund[j, rows[x, J]], all j at once
     call = np.empty((layer.n, k, m), dtype=np.int64)
     jj = np.arange(m)[None, :]
@@ -664,8 +568,7 @@ def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
     def w_of(edge_vec):
         # |bm| and |edge_vec| stay far below 2^20 here, so int64 is exact
         c = bm @ edge_vec[layer.rows[:, block.J]]
-        w = c.astype(object).dot(sfi)
-        return [[Fraction(int(w[a, b]), den) for b in range(k)] for a in range(k)]
+        return DomainMatrix.from_list(c.tolist(), QQ) * sf
     # first columns W_j e1 as integer numerators over den
     return wall[:, :, 0], den, w_of
 
@@ -674,40 +577,29 @@ def _eta_matrix(layer, block, w_of):
     """The matrix of eta = chi(c) for the class c giving the smallest discriminant."""
     k = block.k
     if k == 1:
-        return [[Fraction(1)]], [Fraction(-1), Fraction(1)]
+        return DomainMatrix.eye(1, QQ), [QQ(1), QQ(-1)]
     ch = layer.table[block.gclass.members[0]]
     base = None
     for j in range(layer.n):
         w = w_of(layer.fund[j])
-        if _mdet(w) != 0:
-            base, w0inv = j, _minv(w)
+        if w.det() != 0:
+            base, w0inv = j, w.inv()
             break
     best = None
     for rep, cls in layer.conjugacy_classes():
         acc = np.zeros(layer.n_edges, dtype=np.int64)
         for g in cls:
             acc += layer.fund[base][layer.trans[int(layer.inv[g])]]
-        eta = _mscale(_mmul(w0inv, w_of(acc)), Fraction(ch.degree, len(cls)))
-        cp = _charpoly(eta)
+        eta = w0inv * w_of(acc) * QQ(ch.degree, len(cls))
+        cp = eta.charpoly()
         if any(c.denominator != 1 for c in cp):
             continue
-        deriv = [[Fraction(0)] * k for _ in range(k)]
-        power = _eye(k)
-        for j in range(1, k + 1):
-            deriv = _madd(deriv, _mscale(power, cp[j] * j))
-            power = _mmul(power, eta)
-        disc = _mdet(deriv)
+        disc = dup_discriminant(cp, QQ)
         if disc != 0 and (best is None or abs(disc) < abs(best[0])):
             best = (disc, eta, cp)
     if best is None:
         raise RepairFailed(f"block {block.name}: no class sum generates the field")
     return best[1], best[2]
-
-
-def _int_matrix(rows) -> tuple[np.ndarray, int]:
-    """A rational matrix as (integer object matrix, common denominator)."""
-    den = _common_denominator(v for r in rows for v in r)
-    return np.array([[int(v * den) for v in r] for r in rows], dtype=object), den
 
 
 def _ideal_coordinates(fd: _FieldData, w_cols, w_den: int, eta):
@@ -716,17 +608,14 @@ def _ideal_coordinates(fd: _FieldData, w_cols, w_den: int, eta):
     Lambda_z = span{1, W_j}; its O_K-hull is (1/alpha) O_K when nrd(y) =
     alpha is prime to the moves, and z0 generates it.
     """
-    k = len(eta)
-    e1 = [Fraction(int(i == 0)) for i in range(k)]
-    cols, power = [], _eye(k)
-    for _ in range(k):
-        cols.append(_mvec(power, e1))
-        power = _mmul(power, eta)
-    bo_inv, bo_den = _int_matrix(_minv([[cols[j][i] for j in range(k)] for i in range(k)]))
+    k = eta.shape[0]
+    # columns eta^t e1: the basis eta^t of K in the coordinates of the W_j
+    basis_eta = _krylov(eta, [1] + [0] * (k - 1))
+    bo_den, bo_inv = basis_eta.inv().clear_denoms(convert=True)
     # eta-coordinates of W_j e1, as integer numerators over den
-    den = bo_den * w_den
-    coords = w_cols.astype(object).dot(bo_inv.T)                 # n x k
-    mult = np.array([[int(v) for v in r] for r in fd.mult], dtype=object)
+    den = bo_den.element * w_den
+    coords = w_cols.astype(object).dot(np.array(bo_inv.to_list(), dtype=object).T)
+    mult = np.array(fd.mult.convert_to(ZZ).to_list(), dtype=object)
     block = np.concatenate([np.array([[den] + [0] * (k - 1)], dtype=object), coords])
     gens = []
     for _ in range(k):
@@ -736,7 +625,7 @@ def _ideal_coordinates(fd: _FieldData, w_cols, w_den: int, eta):
     if any(r is None for r in hb):
         raise RepairFailed("moves do not span the field")
     basis = [[Fraction(x, den) for x in r] for r in hb]
-    norm = abs(_mdet(basis))
+    norm = Fraction(math.prod(r[i] for i, r in enumerate(hb)), den ** k)
     basis = _lll(basis, fd.trace_form)
     best = None
     for co in itertools.product(range(-3, 4), repeat=k):
@@ -748,18 +637,15 @@ def _ideal_coordinates(fd: _FieldData, w_cols, w_den: int, eta):
                     best = (tr, a)
     if best is None:
         raise RepairFailed("no generator of the ideal found")
-    z0 = best[1]
-    nb, v = [], z0
-    for _ in range(k):
-        nb.append(v)
-        v = _mvec(fd.mult, v)
-    nb_inv, nb_den = _int_matrix(_minv([[nb[j][i] for j in range(k)] for i in range(k)]))
-    scaled = coords.dot(nb_inv.T)
+    # the columns of the matrix of z0 are z0 eta^t
+    nb_inv = fd.matrix(best[1]).inv()
+    nb_den, nb_num = nb_inv.clear_denoms(convert=True)
+    nb_den = nb_den.element
+    scaled = coords.dot(np.array(nb_num.to_list(), dtype=object).T)
     if any(int(v) % (nb_den * den) for v in scaled.flat):
         raise RepairFailed("move outside the ideal")
     lg = (scaled // (nb_den * den)).tolist()
-    nb_inv = [[Fraction(int(v), nb_den) for v in r] for r in nb_inv]
-    one = [int(x) for x in _mvec(nb_inv, e1)]
+    one = [int(r[0]) for r in nb_inv.to_list()]
     return lg, one, norm
 
 
@@ -770,9 +656,6 @@ def _short_solution(gens: list[list[int]], target: list[int], index: int) -> dic
     exact LLL reduction of the embedding [e_j | K gens_j], [0, 1 | -K target];
     a reduced vector with zero tail gives the solution.
     """
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
     distinct: dict[tuple[int, ...], int] = {}
     for j, g in enumerate(gens):
         key = tuple(g)

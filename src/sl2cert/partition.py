@@ -137,15 +137,6 @@ def _steps_by_orbit(table: GroupTable, path: EdgePath,
     return {orbit: GroupAlgElt(table, c) for orbit, c in out.items()}
 
 
-def _mul_table(table: GroupTable) -> np.ndarray:
-    cay = getattr(table, "_cayley", None)
-    if cay is not None:
-        return np.asarray(cay, dtype=np.int64)
-    n = table.n
-    return np.array([[table.mul(i, j) for j in range(n)] for i in range(n)],
-                    dtype=np.int64)
-
-
 def solve_partition_of_unity(graph: OrbitGraph,
                              path: EdgePath) -> dict[str, GroupAlgElt]:
     """Exact x~_e with 1 = sum_i eps_i a_i N(G_{e_i}) x~_{e_i} in Q[G].
@@ -159,8 +150,8 @@ def solve_partition_of_unity(graph: OrbitGraph,
     """
     psl = graph.psl
     n = psl.n
-    mul = _mul_table(psl)
-    inv = np.array([psl.inv(g) for g in range(n)], dtype=np.int64)
+    psl.build_cayley()
+    mul, inv = psl._cayley.astype(np.int64), psl._inv.astype(np.int64)
     s_by_orbit = _steps_by_orbit(psl, path)
 
     blocks: list[np.ndarray] = []

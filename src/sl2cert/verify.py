@@ -44,7 +44,8 @@ def _timed(name: str, fn, *args) -> CheckResult:
         res = fn(*args)
     except Exception as exc:      # aborted check -> failed result with diagnostics
         res = CheckResult(name, False, "no exception",
-                          f"{type(exc).__name__}: {exc}")
+                          f"{type(exc).__name__}: {exc}",
+                          detail=str(getattr(exc, "diagnostics", "")))
     res.elapsed = time.perf_counter() - t0
     return res
 

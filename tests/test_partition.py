@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sl2cert import partition
@@ -20,6 +21,11 @@ class _CyclicTable:
 
     def inv(self, i):
         return (-i) % self.n
+
+    def build_cayley(self):
+        elements = np.arange(self.n)
+        self._cayley = (elements[:, None] + elements[None, :]) % self.n
+        self._inv = -elements % self.n
 
 
 class _Proj:

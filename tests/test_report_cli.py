@@ -129,3 +129,11 @@ def test_cli_keeps_a_failed_search(monkeypatch):
     # an aborted check carries the exception text as its computed value
     details = {r.computed for r in rep.results}
     assert len(details) == 1 and details.pop().startswith("NoPathFound")
+
+
+def test_failed_search_keeps_its_diagnostics():
+    config = cli._parse_args(["--q", "13", "--checks", "acyclicity",
+                              "--budget", "2"])
+    [res] = cli.run(config).results
+    assert not res.passed and res.computed.startswith("NoPathFound")
+    assert "'evaluations': 2" in res.detail
