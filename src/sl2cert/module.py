@@ -575,8 +575,7 @@ def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
 
 def _eta_matrix(layer, block, w_of):
     """The matrix of eta = chi(c) for the class c giving the smallest discriminant."""
-    k = block.k
-    if k == 1:
+    if block.k == 1:
         return DomainMatrix.eye(1, QQ), [QQ(1), QQ(-1)]
     ch = layer.table[block.gclass.members[0]]
     base = None

@@ -45,7 +45,8 @@ def test_block_determinants_on_fixed_walk(layer, cyc, fixed_vec):
                                      "theta_2+theta_4+theta_6", "xi1+xi2"]
 
 
-def test_block_determinants_give_det_crt(layer, cyc, fixed_vec):
+def test_block_determinants_match_det_crt(layer, cyc, fixed_vec):
+    # det M(y) = +- prod_C s_C^d_C
     dets = layer.dets(cyc.class_of(fixed_vec))
     product = math.prod(abs(dets[b.name]) ** b.d for b in layer.blocks)
     assert product == 2 ** 42 * 3 ** 42 * 281 ** 12
