@@ -17,15 +17,25 @@ half-discrete-series character with eta1(c) = (-1+tau)/2.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .cyclo import Cyclo, cyclo, gauss_sum_sqrt_q
+import numpy as np
+
+from .cyclo import Cyclo, _reduction_rows, cyclo, gauss_sum_sqrt_q, totient
 from .groups import (ClassLabel, GroupTable, SubgroupHandle, all_class_labels,
                      class_sizes, classify)
 
 HALF = Fraction(1, 2)
+
+# class kinds whose values lie in one field: Q, Q(zeta_q), Q(zeta_{q-1}),
+# Q(zeta_{q+1}); the conductors are pairwise coprime up to 2, so the four
+# fields are linearly disjoint over Q
+_FAMILIES = (("1", "z"), ("c", "d", "zc", "zd"), ("a",), ("b",))
+_BLOCK = 1 << 20          # entries per block of a cross-family product
 
 
 @dataclass
@@ -64,32 +74,73 @@ class CharacterTable:
         return acc.as_rational() * Fraction(1, self.group_order)
 
     def verify_row_orthogonality(self) -> bool:
-        """Exact first orthogonality for every pair of irreducibles."""
-        chars = self.characters
-        for i, chi in enumerate(chars):
-            for psi in chars[i:]:
-                want = Fraction(1 if chi is psi else 0)
-                if self.inner(chi, psi) != want:
-                    return False
-        return True
+        """Exact first orthogonality: <chi, psi> = delta for every pair.
+
+        The sum over classes splits into one sum per field family.  As the
+        families' fields are linearly disjoint, the relation holds exactly
+        when each family's sum is rational and these rationals add up to
+        delta |G|.
+        """
+        den, families = self._families()
+        total = 0
+        for fam in families:
+            w = np.array([self.sizes[lab] for lab in fam.labels], dtype=np.int64)
+            s = _canonical(_correlate(fam.coeffs * w[:, None], fam.coeffs), fam.n)
+            if s[..., 1:].any():
+                return False
+            total = total + s[..., 0]
+        want = den * den * self.group_order * np.eye(len(self.characters),
+                                                     dtype=np.int64)
+        return bool((total == want).all())
 
     def verify_column_orthogonality(self) -> bool:
         """Exact second orthogonality: sum_chi chi(K) conj(chi(L)) =
-        delta_{KL} |G|/|K| for every pair of classes."""
-        for i, lab1 in enumerate(self.labels):
-            for lab2 in self.labels[i:]:
-                acc = Cyclo.zero()
-                for ch in self.characters:
-                    x = ch.values[lab1]
-                    y = ch.values[lab2]
-                    if x.is_zero() or y.is_zero():
-                        continue
-                    acc = acc + x * y.conj()
-                want = (Fraction(self.group_order, self.sizes[lab1])
-                        if lab1 == lab2 else Fraction(0))
-                if acc.as_rational() != want:
+        delta_{KL} |G|/|K| for every pair of classes.
+
+        For K, L in one family the sum lies in that family's field and must
+        be the rational on the right.  For K, L in two families it lies in
+        Q(zeta_n1) (x) Q(zeta_n2), which is a field because the two are
+        linearly disjoint, and must vanish there coordinate by coordinate.
+        """
+        den, families = self._families()
+        for fam in families:
+            per_class = fam.coeffs.transpose(1, 0, 2)
+            s = _canonical(_correlate(per_class, per_class), fam.n)
+            diag = s[..., 0].diagonal()
+            if s[..., 1:].any() or (s[..., 0] - np.diag(diag)).any():
+                return False
+            if any(int(v) * self.sizes[lab] != den * den * self.group_order
+                   for v, lab in zip(diag, fam.labels)):
+                return False
+        flat = []
+        for fam in families:
+            conj = fam.coeffs[..., (-np.arange(fam.n)) % fam.n]
+            flat.append([_canonical(c, fam.n).reshape(len(c), -1)
+                         for c in (fam.coeffs, conj)])
+        for (left, _), (_, right) in combinations(flat, 2):
+            step = max(1, _BLOCK // right.shape[1])
+            for i in range(0, left.shape[1], step):
+                if _exact_matmul(left[:, i:i + step].T, right).any():
                     return False
         return True
+
+    def _families(self) -> tuple[int, list["_Family"]]:
+        """The least common denominator of the table's coefficients, and
+        the class columns grouped by field and scaled by it to integers."""
+        chars = self.characters
+        den = math.lcm(*(c.denominator for ch in chars
+                         for v in ch.values.values() for c in v.coeffs.values()))
+        families = []
+        for kinds in _FAMILIES:
+            labels = [lab for lab in self.labels if lab.kind in kinds]
+            n = math.lcm(*(ch.values[lab].n for ch in chars for lab in labels))
+            coeffs = np.zeros((len(chars), len(labels), n), dtype=np.int64)
+            for i, ch in enumerate(chars):
+                for j, lab in enumerate(labels):
+                    for e, c in ch.values[lab].promote(n).coeffs.items():
+                        coeffs[i, j, e] = int(c * den)
+            families.append(_Family(n, labels, coeffs))
+        return den, families
 
     def verify_degrees(self) -> bool:
         total = sum(ch.degree * ch.degree for ch in self.characters)
@@ -107,8 +158,62 @@ class CharacterTable:
         return "\n".join(lines)
 
 
+@dataclass
+class _Family:
+    """The class columns whose values lie in Q(zeta_n)."""
+    n: int
+    labels: list[ClassLabel]
+    coeffs: np.ndarray   # [character, class, e]: scaled coefficient of zeta_n^e
+
+
+def _check_exact(a: np.ndarray, b: np.ndarray, inner: int) -> None:
+    """Raise unless every partial sum of an integer product of a and b with
+    this inner dimension stays below 2^53, so float64 computes it exactly."""
+    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+             * inner)
+    if bound >= 2 ** 53:
+        raise OverflowError(f"integer product bound {bound} is not below 2^53")
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 matrices, exact as one float64 product."""
+    _check_exact(a, b, a.shape[-1])
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
+def _correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[i, j, f] = sum over k and e of x[i, k, e] y[j, k, e - f mod n].
+
+    With x and y the coefficients of powers of zeta_n, out[i, j] holds the
+    coefficients of the sum over k of x_ik conj(y_jk); one float64 product
+    per f.
+    """
+    m, r, n = x.shape
+    _check_exact(x, y, r * n)
+    xf = x.reshape(m, r * n).astype(np.float64)
+    yf = y.astype(np.float64)
+    out = np.empty((m, len(y), n))
+    for f in range(n):
+        out[:, :, f] = xf @ np.roll(yf, f, axis=2).reshape(len(y), r * n).T
+    return out.astype(np.int64)
+
+
+def _canonical(x: np.ndarray, n: int) -> np.ndarray:
+    """Reduce coefficients of zeta_n^0 .. zeta_n^(n-1), last axis, modulo
+    Phi_n: the result holds coordinates in the power basis of Q(zeta_n)."""
+    phi = totient(n)
+    rows = np.array(_reduction_rows(n)[:n - phi], dtype=np.int64)
+    return x[..., :phi] + _exact_matmul(x[..., phi:], rows.reshape(n - phi, phi))
+
+
 def _const(x) -> Cyclo:
     return Cyclo.rational(Fraction(x))
+
+
+def _character(labels: list[ClassLabel], name: str, degree: int,
+               vals: list) -> Character:
+    return Character(name, degree, dict(zip(
+        labels, [v if isinstance(v, Cyclo) else _const(v) for v in vals])))
 
 
 def _build_characters(q: int) -> list[Character]:
@@ -118,8 +223,7 @@ def _build_characters(q: int) -> list[Character]:
     tau = gauss_sum_sqrt_q(q)
 
     def make(name, degree, vals):
-        return Character(name, degree, dict(zip(labels, [v if isinstance(v, Cyclo)
-                                                         else _const(v) for v in vals])))
+        return _character(labels, name, degree, vals)
 
     chars = [
         make("triv", 1, [1] * len(labels)),
@@ -137,7 +241,7 @@ def _build_characters(q: int) -> list[Character]:
         vals += [0 for _ in ls]
         vals += [-(cyclo(q + 1, j * m) + cyclo(q + 1, -j * m)) for m in ms]
         chars.append(make(f"theta_{j}", q - 1, vals))
-    one, neg_one = _const(1), _const(-1)
+    one = _const(1)
     for name, t in (("xi1", tau), ("xi2", -tau)):
         plus = (one + t) * HALF
         minus = (one - t) * HALF
@@ -145,13 +249,22 @@ def _build_characters(q: int) -> list[Character]:
         vals += [(-1) ** l for l in ls]
         vals += [0 for _ in ms]
         chars.append(make(name, (q + 1) // 2, vals))
+    return chars + eta_characters(q)
+
+
+def eta_characters(q: int) -> list[Character]:
+    """eta1 and eta2, the two characters of degree (q-1)/2."""
+    labels = all_class_labels(q)
+    tau = gauss_sum_sqrt_q(q)
+    one, neg_one = _const(1), _const(-1)
+    chars = []
     for name, t in (("eta1", tau), ("eta2", -tau)):
         vals = [(q - 1) // 2, -((q - 1) // 2),
                 (neg_one + t) * HALF, (neg_one - t) * HALF,
                 (one - t) * HALF, (one + t) * HALF]
-        vals += [0 for _ in ls]
-        vals += [(-1) ** (m + 1) for m in ms]
-        chars.append(make(name, (q - 1) // 2, vals))
+        vals += [0 for _ in range(1, (q - 1) // 2)]
+        vals += [(-1) ** (m + 1) for m in range(1, (q + 1) // 2)]
+        chars.append(_character(labels, name, (q - 1) // 2, vals))
     return chars
 
 

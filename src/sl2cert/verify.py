@@ -229,13 +229,12 @@ def degree_inequalities(q: int, session: Session | None = None) -> list[CheckRes
 def degree_inequality_sweep(q_max: int = 200) -> list[CheckResult]:
     """Both strict inequalities for every valid prime q < q_max.
 
-    The eigenvalue counts k1, k2 are recomputed from the character table via
+    The eigenvalue counts k1, k2 are recomputed from the character eta1 via
     closed-form power labels, so no group enumeration is needed and large q
     stay cheap.  Every comparison is made in integers and Fractions.
     """
     def check(q: int) -> CheckResult:
-        table = chartab.CharacterTable(q)
-        eta1 = table["eta1"]
+        eta1 = chartab.eta_characters(q)[0]
         p1, p3 = chartab.edge_generator_power_labels(q)
         m1 = chartab.multiplicities_from_power_labels(eta1, p1)
         m3 = chartab.multiplicities_from_power_labels(eta1, p3)

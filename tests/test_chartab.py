@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2cert import chartab, groups
+from sl2cert import chartab, cyclo, groups
 from sl2cert.groups import ClassLabel
 
 
@@ -21,6 +21,85 @@ def test_row_orthogonality(table13):
 
 def test_column_orthogonality(table13):
     assert table13.verify_column_orthogonality()
+
+
+def _rows_reference(table):
+    """The first relation by Cyclo inner products, one pair at a time."""
+    chars = table.characters
+    try:
+        return all(table.inner(chi, psi) == (1 if chi is psi else 0)
+                   for i, chi in enumerate(chars) for psi in chars[i:])
+    except cyclo.NotRational:
+        return False
+
+
+def _columns_reference(table):
+    """The second relation summed one Cyclo at a time."""
+    for i, lab1 in enumerate(table.labels):
+        for lab2 in table.labels[i:]:
+            acc = cyclo.Cyclo.zero()
+            for ch in table.characters:
+                acc = acc + ch.values[lab1] * ch.values[lab2].conj()
+            want = (Fraction(table.group_order, table.sizes[lab1])
+                    if lab1 == lab2 else 0)
+            if acc.try_rational() != want:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q", [13, 29])
+def test_orthogonality_matches_cyclo_reference(q):
+    table = chartab.CharacterTable(q)
+    assert table.verify_row_orthogonality() is _rows_reference(table) is True
+    assert (table.verify_column_orthogonality()
+            is _columns_reference(table) is True)
+
+
+def _swap(name1, name2, label):
+    def perturb(table):
+        v1, v2 = table[name1].values, table[name2].values
+        assert not (v1[label] - v2[label]).is_zero()
+        v1[label], v2[label] = v2[label], v1[label]
+    return perturb
+
+
+def _negate(table):
+    vals = table["chi_1"].values
+    vals[ClassLabel("a", 1)] = -vals[ClassLabel("a", 1)]
+
+
+def _flip_tau(table):
+    # eta1(c) = (-1 + tau)/2 and eta1(d) = (-1 - tau)/2
+    vals = table["eta1"].values
+    vals[ClassLabel("c")] = vals[ClassLabel("d")]
+
+
+PERTURBATIONS = {
+    "swap-at-1": _swap("triv", "St", ClassLabel("1")),
+    "swap-at-c": _swap("eta1", "eta2", ClassLabel("c")),
+    "swap-at-a": _swap("chi_1", "chi_2", ClassLabel("a", 1)),
+    "swap-at-b": _swap("theta_1", "theta_2", ClassLabel("b", 1)),
+    "negate-at-a": _negate,
+    "flip-tau-at-c": _flip_tau,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("q", [13, 29])
+def test_broken_table_fails_both_relations(q, name):
+    table = chartab.CharacterTable(q)
+    PERTURBATIONS[name](table)
+    assert table.verify_row_orthogonality() is False
+    assert table.verify_column_orthogonality() is False
+
+
+def test_orthogonality_refuses_inexact_products():
+    table = chartab.CharacterTable(13)
+    table["St"].values[ClassLabel("a", 1)] = chartab._const(2 ** 40)
+    with pytest.raises(OverflowError):
+        table.verify_row_orthogonality()
+    with pytest.raises(OverflowError):
+        table.verify_column_orthogonality()
 
 
 def test_steinberg_values(table13):
