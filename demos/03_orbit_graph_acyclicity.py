@@ -40,6 +40,8 @@ print(f"found closed walk of length {len(path)}")
 cert = acyclic.certify_acyclicity(graph, path)
 print("verdict:", cert.verdict, " det =", cert.determinant)
 
-# Independent cross-oracle: Smith normal forms of the boundary maps.
+# Independent cross-oracle: H_0 from the Smith normal form of the
+# vertex-edge boundary, H_1 = 0 from an integer inverse of the pairing
+# matrix, checked exactly (it never computes the determinant).
 hom = acyclic.smith_cross_check(graph, path)
 print("Smith form homology:", hom)

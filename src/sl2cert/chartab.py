@@ -28,6 +28,7 @@ import numpy as np
 from .cyclo import Cyclo, _reduction_rows, cyclo, gauss_sum_sqrt_q, totient
 from .groups import (ClassLabel, GroupTable, SubgroupHandle, all_class_labels,
                      class_sizes, classify)
+from .intlin import _check_exact, _exact_matmul
 
 HALF = Fraction(1, 2)
 
@@ -164,21 +165,6 @@ class _Family:
     n: int
     labels: list[ClassLabel]
     coeffs: np.ndarray   # [character, class, e]: scaled coefficient of zeta_n^e
-
-
-def _check_exact(a: np.ndarray, b: np.ndarray, inner: int) -> None:
-    """Raise unless every partial sum of an integer product of a and b with
-    this inner dimension stays below 2^53, so float64 computes it exactly."""
-    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-             * inner)
-    if bound >= 2 ** 53:
-        raise OverflowError(f"integer product bound {bound} is not below 2^53")
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for int64 matrices, exact as one float64 product."""
-    _check_exact(a, b, a.shape[-1])
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def _correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:

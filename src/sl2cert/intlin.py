@@ -2,8 +2,13 @@
 
 Everything here is deterministic: prime streams are generated by scanning
 downwards from a fixed start, eliminations use first-nonzero pivoting, and
-all certified results (determinants, solution vectors) are reconstructed
-exactly and never trusted to floating point.
+all certified results (determinants, solution vectors, inverses) are
+reconstructed exactly and never trusted to floating point.
+
+Every elimination modulo a prime is one kernel, the panel LU `lu_mod_p`:
+`det_mod_p` reads the determinant off its factors, pivot-column selection
+in `partition` and `module` reads its pivot columns, and `dixon_solve` and
+`integer_inverse` solve with its factors (`_lu_solve`).
 
 `det_crt` first eliminates over Z (`unit_pivot_reduce`): for each leading
 column in turn it takes the first +-1 entry in row order as pivot and
@@ -16,7 +21,7 @@ would write an entry of absolute value 2^31 or more: with every entry
 below 2^31, each product and difference fits in int64.  Only S is then
 reduced modulo each prime.  The primes still follow from the Hadamard
 bound of A, so the prime list does not depend on how far the phase got.
-The modular kernels update only the trailing block m[rows, col:] of the
+The eliminations update only the trailing block m[rows, col:] of the
 rows with a nonzero multiplier; the pivot row is zero left of col, so
 the other entries would not change.
 """
@@ -79,93 +84,128 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-# columns per panel in det_mod_p: 32 products below 2^30 * 2^16 sum below 2^51
+# columns per panel in lu_mod_p: 32 products below 2^30 * 2^16 sum below 2^51
 _PANEL = 32
 
 
 def _mod_float(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for integer-valued float64 entries with |x| < 2^52.
+    """x mod p, in place, for integer-valued float64 entries with |x| < 2^52.
 
     The quotient estimate floor(x / p) is below 2^23, so q * p is exact and
     the remainder is off by at most one p, which the last two steps fix.
     """
-    r = x - np.floor(x * (1.0 / p)) * p
-    r[r < 0] += p
-    r[r >= p] -= p
-    return r
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    x[x < 0] += p
+    x[x >= p] -= p
+    return x
+
+
+def _check_exact(a: np.ndarray, b: np.ndarray, inner: int) -> None:
+    """Raise unless every partial sum of an integer product of a and b with
+    this inner dimension stays below 2^53, so float64 computes it exactly."""
+    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+             * inner)
+    if bound >= 2 ** 53:
+        raise OverflowError(f"integer product bound {bound} is not below 2^53")
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer-valued arrays, exact as one float64 product; the
+    result has the dtype of a (int64 or float64)."""
+    _check_exact(a, b, a.shape[-1])
+    out = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return out.astype(a.dtype, copy=False)
+
+
+def _sub_matmul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    p: int) -> np.ndarray:
+    """c - a @ b mod p, as float64 residues, for residues below p < 2^30
+    and at most _PANEL columns of a: one exact float64 product per 16-bit
+    half of b, each entry a sum of at most _PANEL products below 2^46.  The
+    high half is reduced before its shift, so the sum stays below 2^52."""
+    a = np.asarray(a, dtype=np.float64)
+    high = _mod_float(_exact_matmul(a, b >> 16), p)
+    return _mod_float(c - _exact_matmul(a, b & 0xFFFF) - 65536.0 * high, p)
+
+
+def lu_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """P A = L U modulo p (p < 2^30) for any integer matrix A.
+
+    Row echelon elimination with first-nonzero pivoting; a column with no
+    nonzero entry at or below the next pivot row gets no pivot and is
+    skipped.  Returns (lu, perm, pivots): row i of P A is row perm[i] of A,
+    and pivots lists the pivot columns, which are those of every echelon
+    form of A mod p.  The float64 array lu holds U on and above the pivot
+    rows and, below row i, the multipliers of column i of L in column
+    pivots[i].
+
+    Right-looking, in panels of _PANEL columns.  A panel is eliminated in
+    int64 (each update is one product below 2^60); the trailing block is
+    kept in float64, where every residue below 2^30 is exact, and updated
+    by exact float64 products (`_sub_matmul_mod`).
+    """
+    m = np.mod(mat, p).astype(np.float64)
+    rows, cols = m.shape
+    perm = np.arange(rows)
+    pivots: list[int] = []
+    r = 0
+    for k0 in range(0, cols, _PANEL):
+        k1 = min(k0 + _PANEL, cols)
+        r0 = r
+        panel = m[r0:, k0:k1].astype(np.int64)
+        for c in range(k1 - k0):
+            if r == rows:
+                break
+            i = r - r0
+            nz = np.flatnonzero(panel[i:, c])
+            if not nz.size:
+                continue
+            piv = i + int(nz[0])
+            if piv != i:
+                panel[[i, piv]] = panel[[piv, i]]
+                m[[r, r0 + piv]] = m[[r0 + piv, r]]
+                perm[[r, r0 + piv]] = perm[[r0 + piv, r]]
+            below = i + 1 + np.flatnonzero(panel[i + 1:, c])
+            if below.size:
+                factors = panel[below, c] * pow(int(panel[i, c]), -1, p) % p
+                panel[below, c:] = (panel[below, c:] - factors[:, None] * panel[i, c:]) % p
+                panel[below, c] = factors          # the multipliers, column i of L
+            pivots.append(k0 + c)
+            r += 1
+        m[r0:, k0:k1] = panel
+        if r == r0 or k1 == cols:
+            continue
+        # U12: the new pivot rows in the trailing columns, forward-substituted by L11
+        lcols = np.array(pivots[r0:]) - k0
+        u = m[r0:r, k1:].astype(np.int64)
+        for t in range(r - r0 - 1):
+            below = t + 1 + np.flatnonzero(panel[t + 1:r - r0, lcols[t]])
+            if below.size:
+                u[below] = (u[below] - panel[below, lcols[t]][:, None] * u[t]) % p
+        m[r0:r, k1:] = u
+        m[r:, k1:] = _sub_matmul_mod(m[r:, k1:], panel[r - r0:, lcols], u, p)
+    return m, perm, pivots
 
 
 def det_mod_p(mat: np.ndarray, p: int) -> int:
-    """Determinant of a square integer matrix modulo p (p < 2^30).
-
-    Right-looking LU in panels of _PANEL columns.  A panel is eliminated in
-    int64 (each update is one product below 2^60); the trailing block is
-    kept in float64, where every residue below 2^30 is exact, and updated
-    by one BLAS product per 16-bit half of the panel's U rows: each entry
-    sums at most _PANEL products below 2^46, so no rounding occurs.
-    """
-    m = np.mod(mat, p).astype(np.float64)
-    n = m.shape[0]
+    """Determinant of a square integer matrix modulo p (p < 2^30), from
+    the diagonal of U and the sign of the row permutation (`lu_mod_p`)."""
+    lu, perm, pivots = lu_mod_p(mat, p)
+    if len(pivots) < lu.shape[0]:
+        return 0
     det = 1
-    for k0 in range(0, n, _PANEL):
-        k1 = min(k0 + _PANEL, n)
-        w = k1 - k0
-        panel = m[k0:, k0:k1].astype(np.int64)
-        for c in range(w):
-            nz = np.flatnonzero(panel[c:, c])
-            if not nz.size:
-                return 0
-            piv = c + int(nz[0])
-            if piv != c:
-                panel[[c, piv]] = panel[[piv, c]]
-                m[[k0 + c, k0 + piv]] = m[[k0 + piv, k0 + c]]
-                det = -det
-            pv = int(panel[c, c])
-            det = det * pv % p
-            rows = c + 1 + np.flatnonzero(panel[c + 1:, c])
-            if rows.size:
-                factors = panel[rows, c] * pow(pv, -1, p) % p
-                panel[rows, c:] = (panel[rows, c:] - factors[:, None] * panel[c, c:]) % p
-                panel[rows, c] = factors          # the multipliers, column c of L
-        if k1 == n:
-            break
-        # U12: the panel rows of the trailing columns, forward-substituted by L11
-        u = m[k0:k1, k1:].astype(np.int64)
-        for c in range(w - 1):
-            rows = c + 1 + np.flatnonzero(panel[c + 1:w, c])
-            if rows.size:
-                u[rows] = (u[rows] - panel[rows, c][:, None] * u[c]) % p
-        lower = panel[w:].astype(np.float64)
-        update = (_mod_float(lower @ (u & 0xFFFF).astype(np.float64), p)
-                  + _mod_float(lower @ (u >> 16).astype(np.float64), p) * 65536.0)
-        m[k1:, k1:] = _mod_float(m[k1:, k1:] - update, p)
+    perm = perm.tolist()
+    for i in range(len(perm)):
+        while perm[i] != i:             # each swap puts one row in place
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            det = -det
+    for v in lu.diagonal():
+        det = det * int(v) % p
     return det % p
-
-
-def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
-    m = np.mod(mat, p).astype(np.int64)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(m[r:, col])
-        if not nz.size:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
-        others = np.flatnonzero(m[:, col])
-        others = others[others != r]
-        if others.size:
-            m[others, col:] = (m[others, col:]
-                               - m[others, col][:, None] * m[r, col:]) % p
-        pivots.append(col)
-        r += 1
-    return m, pivots
 
 
 def _max_abs(m: np.ndarray) -> int:
@@ -270,8 +310,8 @@ def dixon_solve(a_cols: list[dict[int, int]], n_rows: int, b: dict[int, int],
             dense[i, j] = v
     if n * max(_max_abs(dense), 1) >= 1 << 32:
         raise OverflowError("entries too large for int64 lifting")
-    lu = _lu_mod_p(dense % p, p)
-    if lu is None:
+    lu = lu_mod_p(dense, p)
+    if len(lu[2]) < n:
         return None
     residual = np.array([b.get(i, 0) for i in range(n)], dtype=np.int64)
     x_int = [0] * n
@@ -313,56 +353,63 @@ def _solves(a_cols: list[dict[int, int]], sol: list[Fraction],
     return all(acc[i] == den * b.get(i, 0) for i in range(n))
 
 
-def _lu_mod_p(mat: np.ndarray, p: int):
-    """P A = L U modulo p (unit lower L stored below U), or None if singular.
-
-    Returns (lu, perm, inverses of the diagonal of U).  Each update is a
-    single product of two residues below 2^30, so int64 never overflows.
-    """
-    m = np.array(mat, dtype=np.int64) % p
-    n = m.shape[0]
-    perm = np.arange(n)
-    diag_inv = np.empty(n, dtype=np.int64)
-    for col in range(n):
-        nz = np.flatnonzero(m[col:, col])
-        if not nz.size:
-            return None
-        piv = col + int(nz[0])
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            perm[[col, piv]] = perm[[piv, col]]
-        diag_inv[col] = pow(int(m[col, col]), -1, p)
-        rows = col + 1 + np.flatnonzero(m[col + 1:, col])
-        if rows.size:
-            factors = m[rows, col] * diag_inv[col] % p
-            m[rows, col + 1:] = (m[rows, col + 1:] - factors[:, None] * m[col, col + 1:]) % p
-            m[rows, col] = factors
-    return m, perm, diag_inv
-
-
 def _lu_solve(lu, b: np.ndarray, p: int) -> np.ndarray:
-    """x with A x = b mod p from the factors of `_lu_mod_p`."""
-    m, perm, diag_inv = lu
+    """X with A X = B mod p from the factors of a nonsingular A (`lu_mod_p`).
+
+    B is a vector or a matrix.  Both triangular solves run in blocks of
+    _PANEL rows: int64 inside a block, where each update is one product of
+    two residues below 2^30, and `_sub_matmul_mod` for the other rows.
+    """
+    m, perm, _ = lu
     n = m.shape[0]
-    y = np.array(b, dtype=np.int64)[perm] % p
-    for j in range(n - 1):
-        if y[j]:
-            y[j + 1:] = (y[j + 1:] - m[j + 1:, j] * y[j]) % p
-    for j in range(n - 1, -1, -1):
-        y[j] = y[j] * diag_inv[j] % p
-        if y[j] and j:
-            y[:j] = (y[:j] - m[:j, j] * y[j]) % p
-    return y
+    y = np.mod(np.asarray(b, dtype=np.int64)[perm], p).reshape(n, -1)
+    starts = range(0, n, _PANEL)
+    for k0 in starts:                   # L Z = P B, L unit lower triangular
+        k1 = min(k0 + _PANEL, n)
+        blk, diag = y[k0:k1], m[k0:k1, k0:k1].astype(np.int64)
+        for j in range(k1 - k0 - 1):
+            blk[j + 1:] = (blk[j + 1:] - diag[j + 1:, j, None] * blk[j]) % p
+        if k1 < n:
+            y[k1:] = _sub_matmul_mod(y[k1:], m[k1:, k0:k1], blk, p)
+    for k0 in reversed(starts):         # U X = Z
+        k1 = min(k0 + _PANEL, n)
+        blk, diag = y[k0:k1], m[k0:k1, k0:k1].astype(np.int64)
+        for j in range(k1 - k0 - 1, -1, -1):
+            blk[j] = blk[j] * pow(int(diag[j, j]), -1, p) % p
+            blk[:j] = (blk[:j] - diag[:j, j, None] * blk[j]) % p
+        if k0:
+            y[:k0] = _sub_matmul_mod(y[:k0], m[:k0, k0:k1], blk, p)
+    return y.reshape(np.shape(b))
 
 
-# growth allowed in smith_normal_form: stored nonzeros, as a multiple of the
-# input's, and entry updates over the whole elimination
-SMITH_FILL = 4
-SMITH_WORK = 5_000_000
+def integer_inverse(mat: np.ndarray) -> np.ndarray:
+    """The integer inverse X of a square integer matrix M, with M X = I
+    verified exactly.
 
-
-class SmithGrowthError(OverflowError):
-    """The sparse Smith elimination grew past SMITH_FILL or SMITH_WORK."""
+    X is solved modulo one prime p < 2^30 (`lu_mod_p`, `_lu_solve`) and each
+    entry is lifted to (-p/2, p/2].  An integer inverse exists exactly when
+    det M = +-1, and then the lift is it if its entries lie in that range.
+    The check M X = I is one float64 product (`_exact_matmul`), exact while
+    max|M| * n * p/2 < 2^53 (OverflowError otherwise).  Raises
+    ArithmeticError when M is singular mod p, so det M != +-1, or when the
+    lift fails the check: M is not unimodular, or its inverse has an entry
+    beyond p/2.
+    """
+    m = np.asarray(mat, dtype=np.int64)
+    n = m.shape[0]
+    p = next(prime_stream())
+    lu = lu_mod_p(m, p)
+    if len(lu[2]) < n:
+        raise ArithmeticError(
+            f"singular mod {p} (rank {len(lu[2])} of {n}): det is not +-1")
+    x = _lu_solve(lu, np.eye(n, dtype=np.int64), p)
+    del lu
+    x[2 * x > p] -= p
+    if not np.array_equal(_exact_matmul(m, x), np.eye(n, dtype=np.int64)):
+        raise ArithmeticError(
+            f"the inverse mod {p}, lifted to (-p/2, p/2], fails M X = I: "
+            f"det is not +-1, or the inverse has an entry beyond p/2")
+    return x
 
 
 def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
@@ -371,9 +418,7 @@ def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
 
     `rows` maps row index -> {col: value}.  Uses greedy pivoting that prefers
     +-1 pivots (keeps entries small on unimodular-equivalent inputs) and
-    Euclidean reduction otherwise.  Raises SmithGrowthError, with the pivot
-    count reached, once the stored nonzeros exceed SMITH_FILL times those
-    of the input or the entry updates exceed SMITH_WORK.  Returns the list of nonzero invariant
+    Euclidean reduction otherwise.  Returns the list of nonzero invariant
     factors d_1 | d_2 | ... (positive).
     """
     # Working sparse structure with column index for pivot search.
@@ -399,15 +444,7 @@ def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
 
     diagonal: list[int] = []
     limit = min(n_rows, n_cols)
-    fill_limit = SMITH_FILL * max(1, sum(len(r) for r in rows.values()))
-    work = 0
     while rows and len(diagonal) < limit:
-        fill = sum(len(r) for r in rows.values()) if len(diagonal) % 16 == 0 else 0
-        if fill > fill_limit or work > SMITH_WORK:
-            raise SmithGrowthError(
-                f"Smith elimination stopped after {len(diagonal)} of {limit} "
-                f"pivots: {work} entry updates (limit {SMITH_WORK}), fill limit "
-                f"{fill_limit} nonzeros")
         # Pick pivot: smallest |value|, ties by fewest row+col nonzeros.
         best = None
         for i, r in rows.items():
@@ -431,9 +468,7 @@ def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
                 v = rows[i][pj]
                 q = v // pv
                 if q:
-                    prow = list(rows[pi].items())
-                    work += len(prow)
-                    for j, w in prow:
+                    for j, w in list(rows[pi].items()):
                         set_entry(i, j, rows.get(i, {}).get(j, 0) - q * w)
                 if rows.get(i, {}).get(pj, 0):
                     # Remainder nonzero and smaller: swap pivot into this row.
@@ -452,7 +487,6 @@ def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
                 q = v // pv
                 if q:
                     # column operation: col_j -= q * col_pj
-                    work += len(cols.get(pj, ()))
                     for i in list(cols.get(pj, ())):
                         set_entry(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][pj])
                 if rows.get(pi, {}).get(j, 0):

@@ -56,7 +56,8 @@ from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.matrices import DomainMatrix
 
 from .cyclo import Cyclo
-from .groups import ClassLabel
+from .groups import ClassLabel, _closure
+from .intlin import lu_mod_p
 
 _PRIME = 1000003          # independence tests mod p
 
@@ -153,11 +154,6 @@ def lattice_det(gens, bound: int) -> int:
     return det
 
 
-def rref_mod(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    from .intlin import rref_mod_p
-    return rref_mod_p(np.asarray(mat, dtype=np.int64) % _PRIME, _PRIME)
-
-
 def _independent_rows(mat: np.ndarray, count: int) -> np.ndarray:
     """Least `count` row indices of mat that are independent mod p.
 
@@ -169,7 +165,7 @@ def _independent_rows(mat: np.ndarray, count: int) -> np.ndarray:
     # entries of mat are below 2^31 after reduction; split mix into 15-bit halves
     m = np.asarray(mat, dtype=np.int64) % _PRIME
     z = (m @ (mix & 0x7FFF) % _PRIME + (m @ (mix >> 15) % _PRIME) * (1 << 15)) % _PRIME
-    _, piv = rref_mod(z.T)
+    piv = lu_mod_p(z.T, _PRIME)[2]
     if len(piv) < count:
         raise ArithmeticError(f"only {len(piv)} of {count} independent rows")
     return np.array(piv[:count])
@@ -260,22 +256,6 @@ def group_product(mul: np.ndarray, inv: np.ndarray, a: np.ndarray,
     return out
 
 
-def _closure(mul, elems) -> set[int]:
-    seen: set[int] = set()
-    frontier = [int(e) for e in elems]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in elems:
-                c = int(mul[a, b])
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
-
-
 def rank_one_element(graph, table, labels) -> np.ndarray:
     """x = sum_{h in H} psi(h) h inducing every non-trivial irreducible once.
 
@@ -289,10 +269,10 @@ def rank_one_element(graph, table, labels) -> np.ndarray:
     subgroups += [eo.stabilizer.elements for eo in graph.edge_orbits.values()]
     for sl_elems in subgroups:
         h = sorted({graph.proj(i) for i in sl_elems})
-        squares = _closure(mul, sorted({int(mul[a, a]) for a in h}))
+        squares = set(_closure(graph.psl, sorted({int(mul[a, a]) for a in h})))
         kernels = [set(h)]
         for a in h:
-            k = _closure(mul, sorted(squares | {a}))
+            k = set(_closure(graph.psl, sorted(squares | {a})))
             if 2 * len(k) == len(h) and k not in kernels:
                 kernels.append(k)
         for kernel in kernels:
@@ -336,11 +316,11 @@ class Block:
         pj = p_rows(self.J)                                # m x n
         erow = lambda g: eps[mul[:, inv[g]]]              # eps.g over G
         self.gk = _independent_rows(eps[mul[:, inv]].T, self.m)
-        _, cols = rref_mod(np.array([erow(int(g)) for g in self.gk]))
+        cols = lu_mod_p(np.array([erow(int(g)) for g in self.gk]), _PRIME)[2]
         self.egk = np.array([erow(g) for g in self.gk])
         d_lam = abs(DomainMatrix.from_list(self.egk[:, cols].tolist(), ZZ).det())
         det_lam = lattice_det([erow(g)[cols] for g in range(n)], d_lam)
-        _, jk = rref_mod(pj)
+        jk = lu_mod_p(pj, _PRIME)[2]
         d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
         det_h = lattice_det(list(pj.T), d_h)
         self.kappa = Fraction(det_h * d_lam, det_lam)
@@ -525,8 +505,11 @@ def _lll(basis, gram):
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
+                # b_i -= q b_j leaves the orthogonalized vectors unchanged
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-                mu, norms = gso()
+                for l in range(j):
+                    mu[i][l] -= q * mu[j][l]
+                mu[i][j] -= q
         if norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
         else:
@@ -544,11 +527,11 @@ def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
     k, m = block.k, block.m
     ex = np.array([group_product(layer.mul, layer.inv, block.egk[i], layer.x)
                    for i in range(m)])
-    _, idx = rref_mod(ex.T)
+    idx = lu_mod_p(ex.T, _PRIME)[2]
     if len(idx) != k:
         raise RepairFailed(f"block {block.name}: x has rank {len(idx)}, not {k}")
     bm = ex[idx]
-    _, cols = rref_mod(bm)
+    cols = lu_mod_p(bm, _PRIME)[2]
     binv = DomainMatrix.from_list(bm[:, cols].tolist(), QQ).inv()
     f = DomainMatrix.from_list(ex[:, cols].tolist(), QQ) * binv
     x0 = DomainMatrix.from_list(block.x0(layer, vec_y).tolist(), QQ)

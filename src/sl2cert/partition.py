@@ -180,7 +180,7 @@ def solve_partition_of_unity(graph: OrbitGraph,
     b = {psl.identity: 1}
     p = next(intlin.prime_stream(start=(1 << 30) - 105))
     dense = np.concatenate(blocks, axis=1)
-    _, pivots = intlin.rref_mod_p(dense % p, p)
+    pivots = intlin.lu_mod_p(dense, p)[2]
     if len(pivots) < n:
         raise Inconsistent(
             f"column span has rank {len(pivots)} < {n} mod {p}")

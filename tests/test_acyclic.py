@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ def test_det_crt_on_fixed_walk(graph13, cyc):
     ps = intlin.prime_stream()
     assert primes == [next(ps) for _ in range(35)]
     assert bound.bit_length() == 1043
+
+
+def test_smith_cross_check_refuses_fixed_walk(graph13, cyc):
+    # det M = -2^42 3^42 281^12: no integer inverse, and a prompt refusal
+    psl = graph13.psl
+    path = EdgePath(0, [(o, psl.index[m], s) for o, m, s in FIXED_WALK])
+    t0 = time.monotonic()
+    with pytest.raises(ArithmeticError, match="fails M X = I"):
+        acyclic.smith_cross_check(graph13, path, cyc)
+    assert time.monotonic() - t0 < 60
 
 
 def test_certificate_json_shape(graph13):

@@ -129,20 +129,76 @@ def test_det_mod_p_matches_reference(p):
     assert intlin.det_mod_p(np.array([[98, 1], [1, 1]]), 97) == 0
 
 
+def _wide_and_tall():
+    """Matrices wider or taller than two panels, with a zero column, a
+    dependent column and dependent rows, so some columns get no pivot."""
+    rng = np.random.default_rng(7)
+    wide = rng.integers(-3, 4, size=(70, 100))
+    wide[:, 5] = 0
+    wide[:, 40] = wide[:, 3] - 2 * wide[:, 7]
+    wide[50] = wide[48] + wide[49]                  # rows 48..50 in one panel
+    wide[60] = 3 * wide[2]
+    tall = rng.integers(-3, 4, size=(100, 70))
+    tall[:, 33] = tall[:, 32] + tall[:, 1]
+    tall[:, 64] = 0
+    return [wide, tall, wide.T]
+
+
+def _rebuild(lu, perm, pivots, p):
+    """L U from the factors of lu_mod_p, as exact integers mod p."""
+    rows, cols = lu.shape
+    lower = np.eye(rows, dtype=object)
+    upper = np.zeros((rows, cols), dtype=object)
+    for i, c in enumerate(pivots):
+        lower[i + 1:, i] = lu[i + 1:, c].astype(np.int64)
+        upper[i, c:] = lu[i, c:].astype(np.int64)
+    return lower.dot(upper) % p
+
+
 @pytest.mark.parametrize("p", [97, 1073741789])
-def test_rref_mod_p_matches_reference(p):
+def test_lu_mod_p_pivots_match_reference(p):
     rng = np.random.default_rng(5)
     mats = _kernel_inputs()
     mats += [_sparse_unit(rng, r, c) for r, c in ((7, 20), (25, 10), (40, 55))]
     mats.append(np.array([[0, 0, 2, 1], [0, 3, 1, 1], [0, 6, 2, 2]]))
+    mats += _wide_and_tall()
     for mat in mats:
-        red, pivots = intlin.rref_mod_p(mat, p)
-        want_red, want_pivots = _rref_mod_p_reference(mat, p)
-        assert np.array_equal(red, want_red)
-        assert pivots == want_pivots
+        lu, perm, pivots = intlin.lu_mod_p(mat, p)
+        assert pivots == _rref_mod_p_reference(mat, p)[1]
+        assert np.array_equal(_rebuild(lu, perm, pivots, p),
+                              np.mod(mat[perm], p).astype(object))
+    # the zero column, the dependent column and two dependent rows
+    pivots = intlin.lu_mod_p(_wide_and_tall()[0], p)[2]
+    assert len(pivots) == 68 and 5 not in pivots and 40 not in pivots
     # rank-deficient 3x3: the second row is twice the first
-    _, pivots = intlin.rref_mod_p(np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), p)
+    _, _, pivots = intlin.lu_mod_p(np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), p)
     assert pivots == [0, 1]
+
+
+def test_integer_inverse_of_elementary_product():
+    # (I - 2N)(I + 3N^T) with N the upper shift, rows rotated: the inverse
+    # has entries near 2^24
+    n = 10
+    shift = np.eye(n, k=1, dtype=np.int64)
+    mat = np.roll((np.eye(n, dtype=np.int64) - 2 * shift)
+                  @ (np.eye(n, dtype=np.int64) + 3 * shift.T), 3, axis=0)
+    x = intlin.integer_inverse(mat)
+    assert np.array_equal(mat @ x, np.eye(n, dtype=np.int64))
+    assert np.abs(x).max() > 1 << 15
+    assert x.tolist() == sympy.Matrix(mat.tolist()).inv().tolist()
+
+
+def test_integer_inverse_refuses_det_2():
+    mat = np.array([[3, 1, 0], [1, 1, 0], [5, -2, 1]])    # det 2
+    with pytest.raises(ArithmeticError, match="fails M X = I"):
+        intlin.integer_inverse(mat)
+
+
+def test_integer_inverse_refuses_singular_mod_p():
+    p = next(intlin.prime_stream())
+    mat = np.array([[p + 1, 1], [1, 1]])                 # det p
+    with pytest.raises(ArithmeticError, match=f"singular mod {p}"):
+        intlin.integer_inverse(mat)
 
 
 def test_det_crt_exact():
