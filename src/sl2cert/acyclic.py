@@ -106,9 +106,7 @@ class CycleSpace:
             trans[:, e] = (graph.edge_coset[orbit][cay[:, rep]]
                            + graph.edge_offset[orbit])
         self.trans = trans
-        self.inv = np.array([graph.psl.inv(g) for g in range(n)], dtype=np.int64)
-        # root-to-vertex tree paths are resolved lazily
-        self._depth_cache: dict[int, np.ndarray] = {}
+        self.inv = graph.psl._inv.astype(np.int64)
 
     def tree_path_to_root(self, v: int) -> list[tuple[int, int]]:
         """Edges (edge_id, sign) leading from v to the tree root."""

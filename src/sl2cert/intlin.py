@@ -7,8 +7,9 @@ reconstructed exactly and never trusted to floating point.
 
 Every elimination modulo a prime is one kernel, the panel LU `lu_mod_p`:
 `det_mod_p` reads the determinant off its factors, pivot-column selection
-in `partition` and `module` reads its pivot columns, and `dixon_solve` and
-`integer_inverse` solve with its factors (`_lu_solve`).
+in `module` reads its pivot columns, `integer_inverse` solves with its
+factors (`_lu_solve`), and `dixon_solve` solves with the pivot-column
+factors of its one LU of the wide system.
 
 `det_crt` first eliminates over Z (`unit_pivot_reduce`): for each leading
 column in turn it takes the first +-1 entry in row order as pivot and
@@ -291,29 +292,30 @@ def det_crt(mat: np.ndarray) -> tuple[int, list[int], int]:
     return symmetric_lift(a, m), primes, bound
 
 
-def dixon_solve(a_cols: list[dict[int, int]], n_rows: int, b: dict[int, int],
-                p: int) -> list[Fraction] | None:
+def dixon_solve(a: np.ndarray, b: np.ndarray, p: int) -> list[Fraction] | None:
     """Solve A x = b over Q by p-adic (Dixon) lifting.
 
-    `a_cols` gives A column-wise as sparse {row: value} dicts; the system must
-    be square (len(a_cols) == n_rows) and nonsingular mod p.  Returns the
-    exact rational solution, checked against the system, or None if no
-    checked reconstruction appears within `DIXON_MAX_DIGITS` lifting steps.
-    Each step updates the residual with one int64 product A x_digit: with
-    x_digit < p < 2^30 and n max|A| < 2^32 every entry stays below 2^62.
+    A is a dense n x m integer matrix of rank n mod p (ArithmeticError,
+    naming the rank, otherwise) and b a length-n integer vector.  The one
+    `lu_mod_p` of A also factors its square subsystem on the pivot columns:
+    P A = L U gives P A[:, pivots] = L U[:, pivots], held in lu[:, pivots].
+    Returns the exact rational x, zero off the pivot columns and checked
+    against the system, or None if no checked reconstruction appears within
+    `DIXON_MAX_DIGITS` lifting steps.  Each step updates the residual with
+    one int64 product A x_digit: with x_digit < p < 2^30 and
+    n max|A| < 2^32 every entry stays below 2^62.
     """
-    n = n_rows
-    assert len(a_cols) == n
-    dense = np.zeros((n, n), dtype=np.int64)
-    for j, col in enumerate(a_cols):
-        for i, v in col.items():
-            dense[i, j] = v
-    if n * max(_max_abs(dense), 1) >= 1 << 32:
+    a = np.asarray(a, dtype=np.int64)
+    n, m = a.shape
+    if n * max(_max_abs(a), 1) >= 1 << 32:
         raise OverflowError("entries too large for int64 lifting")
-    lu = lu_mod_p(dense, p)
-    if len(lu[2]) < n:
-        return None
-    residual = np.array([b.get(i, 0) for i in range(n)], dtype=np.int64)
+    lu, perm, pivots = lu_mod_p(a, p)
+    if len(pivots) < n:
+        raise ArithmeticError(
+            f"column span has rank {len(pivots)} < {n} mod {p}")
+    lu = (lu[:, pivots], perm, pivots)      # free the wide factors before slicing a
+    a = a[:, pivots]
+    residual = np.array(b, dtype=np.int64)
     x_int = [0] * n
     pk = 1
     previous = None
@@ -323,19 +325,21 @@ def dixon_solve(a_cols: list[dict[int, int]], n_rows: int, b: dict[int, int],
             x_int[i] += pk * int(x_dig[i])
         pk *= p
         # residual <- (residual - A x_dig) / p  (exact integer division)
-        residual = (residual - dense @ x_dig) // p
+        residual = (residual - a @ x_dig) // p
         if step % 8 == 7 or not residual.any():
             sol = [rational_reconstruct(x_int[i], pk) for i in range(n)]
             # check only a reconstruction that the last lifting steps kept
             if all(s is not None for s in sol):
-                if sol == previous and _solves(a_cols, sol, b, n):
-                    return sol
+                if sol == previous and _solves(a, sol, b):
+                    x = [Fraction(0)] * m
+                    for j, s in zip(pivots, sol):
+                        x[j] = s
+                    return x
                 previous = sol
     return None
 
 
-def _solves(a_cols: list[dict[int, int]], sol: list[Fraction],
-            b: dict[int, int], n: int) -> bool:
+def _solves(a: np.ndarray, sol: list[Fraction], b: np.ndarray) -> bool:
     """Exact check A sol = b, in integers after clearing denominators.
 
     A reconstruction from too small a modulus can succeed with wrong
@@ -344,13 +348,14 @@ def _solves(a_cols: list[dict[int, int]], sol: list[Fraction],
     den = 1
     for x in sol:
         den = den * x.denominator // math.gcd(den, x.denominator)
-    acc = [0] * n
-    for col, x in zip(a_cols, sol):
+    acc = [0] * a.shape[0]
+    for j, x in enumerate(sol):
         if x:
             xv = x.numerator * (den // x.denominator)
-            for i, v in col.items():
+            rows = np.flatnonzero(a[:, j])
+            for i, v in zip(rows.tolist(), a[rows, j].tolist()):
                 acc[i] += v * xv
-    return all(acc[i] == den * b.get(i, 0) for i in range(n))
+    return acc == [den * v for v in np.asarray(b).tolist()]
 
 
 def _lu_solve(lu, b: np.ndarray, p: int) -> np.ndarray:

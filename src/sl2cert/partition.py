@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intlin
+from . import intlin, module
 from .acyclic import EdgePath
 from .groups import GroupTable
 from .orbit_graph import OrbitGraph
@@ -144,14 +144,14 @@ def solve_partition_of_unity(graph: OrbitGraph,
     Group the steps per orbit into s_e = sum_i eps_i a_i.  The unknown
     N(G_e) x~_e lies in the span of {N(G_e) g : G_e g a right coset}, since
     N(G_e) g depends on the right coset of g; the system has one column
-    s_e N(G_e) g per right coset of a traversed orbit's stabilizer.  A
-    nonsingular square subsystem is selected mod p and solved by Dixon
-    lifting; the identity is then verified exactly.
+    s_e N(G_e) g per right coset of a traversed orbit's stabilizer.  Dixon
+    lifting solves it on the pivot columns of one LU mod p
+    (`intlin.dixon_solve`); the identity is then verified exactly.
     """
     psl = graph.psl
     n = psl.n
     psl.build_cayley()
-    mul, inv = psl._cayley.astype(np.int64), psl._inv.astype(np.int64)
+    mul, inv = psl._cayley, psl._inv
     s_by_orbit = _steps_by_orbit(psl, path)
 
     blocks: list[np.ndarray] = []
@@ -161,10 +161,9 @@ def solve_partition_of_unity(graph: OrbitGraph,
         s_vec = np.zeros(n, dtype=np.int64)
         for g, c in s_e.coeffs.items():
             s_vec[g] = int(c)
-        # u = s_e N(K): u(z) = sum_{k in K} s_e(z k^-1)
-        u = np.zeros(n, dtype=np.int64)
-        for k in stab:
-            u += s_vec[mul[:, inv[k]]]
+        norm = np.zeros(n, dtype=np.int64)
+        norm[stab] = 1
+        u = module.group_product(mul, inv, s_vec, norm)     # s_e N(K)
         covered = np.zeros(n, dtype=bool)
         reps = []
         for g in range(n):
@@ -177,34 +176,28 @@ def solve_partition_of_unity(graph: OrbitGraph,
         blocks.append(cols[:, keep])
         col_meta += [(orbit, r) for r, k in zip(reps, keep) if k]
 
-    b = {psl.identity: 1}
+    b = np.zeros(n, dtype=np.int64)
+    b[psl.identity] = 1
     p = next(intlin.prime_stream(start=(1 << 30) - 105))
-    dense = np.concatenate(blocks, axis=1)
-    pivots = intlin.lu_mod_p(dense, p)[2]
-    if len(pivots) < n:
-        raise Inconsistent(
-            f"column span has rank {len(pivots)} < {n} mod {p}")
-    sub_cols = [{int(i): int(dense[i, j]) for i in np.flatnonzero(dense[:, j])}
-                for j in pivots]
-    sol = intlin.dixon_solve(sub_cols, n, b, p)
+    a = np.concatenate(blocks, axis=1)
+    del blocks                  # one copy of the wide system through the LU
+    try:
+        sol = intlin.dixon_solve(a, b, p)
+    except ArithmeticError as exc:
+        raise Inconsistent(str(exc)) from exc
     if sol is None:
         raise Inconsistent("p-adic lifting failed to reconstruct a solution")
 
     # assemble x~_e = (1/|K_e|) N(K_e) (sum_c u_c rep_c) and verify exactly
-    parts: dict[str, GroupAlgElt] = {}
-    for j, u_c in zip(pivots, sol):
-        if u_c == 0:
-            continue
-        orbit, rep = col_meta[j]
-        cur = parts.get(orbit)
-        term = GroupAlgElt(psl, {rep: u_c})
-        parts[orbit] = term if cur is None else cur + term
+    parts: dict[str, dict[int, Fraction]] = {orbit: {} for orbit in s_by_orbit}
+    for (orbit, rep), u_c in zip(col_meta, sol):
+        if u_c:
+            parts[orbit][rep] = u_c
     solution: dict[str, GroupAlgElt] = {}
-    for orbit in s_by_orbit:
+    for orbit, coeffs in parts.items():
         stab = _stabilizer_psl(graph, orbit)
         norm = GroupAlgElt.norm_element(psl, stab)
-        inner = parts.get(orbit, GroupAlgElt(psl))
-        solution[orbit] = (norm * inner) * Fraction(1, len(stab))
+        solution[orbit] = (norm * GroupAlgElt(psl, coeffs)) * Fraction(1, len(stab))
     verify_partition(graph, path, solution)
     return solution
 

@@ -167,6 +167,11 @@ def test_lu_mod_p_pivots_match_reference(p):
         assert pivots == _rref_mod_p_reference(mat, p)[1]
         assert np.array_equal(_rebuild(lu, perm, pivots, p),
                               np.mod(mat[perm], p).astype(object))
+        n = mat.shape[0]
+        if len(pivots) == n:
+            # full row rank: lu[:, pivots] factors the pivot-column subsystem
+            assert np.array_equal(_rebuild(lu[:, pivots], perm, range(n), p),
+                                  np.mod(mat[perm][:, pivots], p).astype(object))
     # the zero column, the dependent column and two dependent rows
     pivots = intlin.lu_mod_p(_wide_and_tall()[0], p)[2]
     assert len(pivots) == 68 and 5 not in pivots and 40 not in pivots
@@ -271,15 +276,37 @@ def test_hadamard_bound_overflow_raises():
 
 
 def test_dixon_solve_rational_system():
-    # columns of [[2,0],[1,3]] against b = (1, 0): x = (1/2, -1/6)
-    cols = [{0: 2, 1: 1}, {1: 3}]
-    sol = intlin.dixon_solve(cols, 2, {0: 1}, 1000003)
+    # [[2,0],[1,3]] against b = (1, 0): x = (1/2, -1/6)
+    a = np.array([[2, 0], [1, 3]])
+    sol = intlin.dixon_solve(a, np.array([1, 0]), 1000003)
     assert sol == [Fraction(1, 2), Fraction(-1, 6)]
 
 
-def test_dixon_solve_singular_returns_none():
-    cols = [{0: 1, 1: 1}, {0: 2, 1: 2}]
-    assert intlin.dixon_solve(cols, 2, {0: 1}, 1000003) is None
+def test_dixon_solve_singular_raises():
+    a = np.array([[1, 2], [1, 2]])
+    with pytest.raises(ArithmeticError, match="rank 1 < 2 mod 1000003"):
+        intlin.dixon_solve(a, np.array([1, 0]), 1000003)
+
+
+def test_dixon_solve_wide_system_on_pivot_columns():
+    # a zero column and a dependent column among the first n, so the
+    # pivot columns are not a prefix
+    rng = np.random.default_rng(8)
+    n = 40
+    a = rng.integers(-3, 4, size=(n, 60))
+    a[:, 2] = 0
+    a[:, 9] = a[:, 4] - 2 * a[:, 6]
+    b = rng.integers(-5, 6, size=n)
+    p = 1000003
+    pivots = intlin.lu_mod_p(a, p)[2]
+    assert len(pivots) == n and pivots != list(range(n))
+    assert 2 not in pivots and 9 not in pivots
+    sol = intlin.dixon_solve(a, b, p)
+    assert len(sol) == a.shape[1]
+    assert all(x == 0 for j, x in enumerate(sol) if j not in pivots)
+    den = math.lcm(*(x.denominator for x in sol))
+    ax = a.astype(object).dot([x * den for x in sol])
+    assert ax.tolist() == [den * int(v) for v in b]
 
 
 @pytest.mark.parametrize("mat,want", [

@@ -143,4 +143,6 @@ def test_partition_on_fixed_walk_uses_right_cosets(graph13):
     sol = partition.solve_partition_of_unity(graph13, path)
     partition.verify_partition(graph13, path, sol)
     x, delta = partition.lift_partition(graph13, path, sol)
-    assert delta.coeffs
+    # pin the solution that Dixon lifting reconstructs on the pivot columns
+    assert sum(len(elt.coeffs) for elt in sol.values()) == 3224
+    assert len(delta.coeffs) == 2
