@@ -31,8 +31,10 @@ class _Run:
     @property
     def graph(self) -> orbit_graph.OrbitGraph:
         if self._graph is None:
+            # reuse the session's SL2(q) table when a check already built it
+            sl = self._session.sl if self._session is not None else None
             self._graph = orbit_graph.build_graph(
-                self.q, orbit_graph.flavor_of(self.q))
+                self.q, orbit_graph.flavor_of(self.q), sl=sl)
         return self._graph
 
     def path(self) -> acyclic.EdgePath:

@@ -22,6 +22,7 @@ Conjugacy classes carry the labels 1, z, c, d, zc, zd, a^l, b^m:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from sympy import isprime
@@ -116,6 +117,20 @@ def encode(m: Mat2, q: int) -> int:
     return ((a * q + b) * q + c) * q + d
 
 
+def _encode_rows(mats: np.ndarray, q: int) -> np.ndarray:
+    """Encodings of a (..., 4) int64 array of matrices."""
+    a, b, c, d = np.moveaxis(mats, -1, 0)
+    return ((a * q + b) * q + c) * q + d
+
+
+def _mul_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Broadcast products x * y mod q of (..., 4) int64 arrays of matrices."""
+    a, b, c, d = np.moveaxis(x, -1, 0)
+    e, f, g, h = np.moveaxis(y, -1, 0)
+    return np.stack([(a * e + b * g) % q, (a * f + b * h) % q,
+                     (c * e + d * g) % q, (c * f + d * h) % q], axis=-1)
+
+
 class GroupTable:
     """An enumerated copy of SL2(q) or PSL2(q) with index-level operations."""
 
@@ -127,8 +142,8 @@ class GroupTable:
         self.elements = elements
         self.index: dict[Mat2, int] = {m: i for i, m in enumerate(elements)}
         if flavor == "PSL":
-            for m in elements:
-                self.index.setdefault(mat_neg(m, q), self.index[m])
+            self.index.update({(-a % q, -b % q, -c % q, -d % q): i
+                               for i, (a, b, c, d) in enumerate(elements)})
         self.n = len(elements)
         self.identity = self.index[IDENT]
         self.labels: list[ClassLabel] | None = None
@@ -140,14 +155,9 @@ class GroupTable:
         self.delta: int | None = None
         self._cayley: np.ndarray | None = None
         self._inv: np.ndarray | None = None
+        self._encodings: np.ndarray | None = None
 
     # -- basic operations ----------------------------------------------------
-
-    def canon(self, m: Mat2) -> Mat2:
-        if self.flavor == "SL":
-            return m
-        neg = mat_neg(m, self.q)
-        return m if encode(m, self.q) <= encode(neg, self.q) else neg
 
     def mul(self, i: int, j: int) -> int:
         if self._cayley is not None:
@@ -186,45 +196,67 @@ class GroupTable:
     @property
     def z(self) -> int:
         """Index of the central element -1 (equals identity in PSL)."""
-        return self.index[self.canon(mat_neg(IDENT, self.q))]
+        return self.index[mat_neg(IDENT, self.q)]
 
     def trace(self, i: int) -> int:
         m = self.elements[i]
         return (m[0] + m[3]) % self.q
+
+    # -- array operations ------------------------------------------------------
+
+    @property
+    def encodings(self) -> np.ndarray:
+        """Encodings of the elements, an increasing int64 array."""
+        if self._encodings is None:
+            flat = np.fromiter(chain.from_iterable(self.elements), dtype=np.int64,
+                               count=4 * self.n)
+            self._encodings = _encode_rows(flat.reshape(self.n, 4), self.q)
+        return self._encodings
+
+    def matrices(self) -> np.ndarray:
+        """The elements as a new (n, 4) int64 array, decoded from the encodings."""
+        out = np.empty((self.n, 4), dtype=np.int64)
+        rest = self.encodings
+        for col in (3, 2, 1):
+            rest, out[:, col] = np.divmod(rest, self.q)
+        out[:, 0] = rest
+        return out
+
+    def locate(self, mats: np.ndarray) -> np.ndarray:
+        """Element indices of a (..., 4) integer array of matrices mod q.
+
+        For PSL a matrix and its negative locate the same element.  Raises
+        GroupBuildError when a matrix is not in the table.
+        """
+        mats = np.mod(mats, self.q)
+        enc = _encode_rows(mats, self.q)
+        if self.flavor == "PSL":
+            enc = np.minimum(enc, _encode_rows(-mats % self.q, self.q))
+        encs = self.encodings
+        pos = np.minimum(np.searchsorted(encs, enc), self.n - 1)
+        if not np.array_equal(encs[pos], enc):
+            raise GroupBuildError(f"matrix not in {self.flavor}2({self.q})")
+        return pos
+
+    def right_mul(self, h: int) -> np.ndarray:
+        """The permutation g -> g * h of all element indices."""
+        h_mat = np.array(self.elements[h], dtype=np.int64)
+        return self.locate(_mul_rows(self.matrices(), h_mat, self.q))
 
     def build_cayley(self) -> None:
         """Materialize the full multiplication table (PSL-sized groups only)."""
         if self._cayley is not None:
             return
         q, n = self.q, self.n
-        mats = np.array(self.elements, dtype=np.int64)
-        encs = np.array([encode(self.canon(m), q) for m in self.elements], dtype=np.int64)
-        sort_idx = np.argsort(encs)
-        sorted_encs = encs[sort_idx]
+        mats = self.matrices()
         table = np.empty((n, n), dtype=np.int32)
-        a = mats[:, 0][:, None]
-        b = mats[:, 1][:, None]
-        c = mats[:, 2][:, None]
-        d = mats[:, 3][:, None]
         for lo in range(0, n, CAYLEY_CHUNK):
             hi = min(lo + CAYLEY_CHUNK, n)
-            e, f = mats[:, 0][None, lo:hi], mats[:, 1][None, lo:hi]
-            g, h = mats[:, 2][None, lo:hi], mats[:, 3][None, lo:hi]
-            pa = (a * e + b * g) % q
-            pb = (a * f + b * h) % q
-            pc = (c * e + d * g) % q
-            pd = (c * f + d * h) % q
-            enc1 = ((pa * q + pb) * q + pc) * q + pd
-            if self.flavor == "PSL":
-                na, nb, nc, nd = (q - pa) % q, (q - pb) % q, (q - pc) % q, (q - pd) % q
-                enc2 = ((na * q + nb) * q + nc) * q + nd
-                enc1 = np.minimum(enc1, enc2)
-            pos = np.searchsorted(sorted_encs, enc1)
-            table[:, lo:hi] = sort_idx[pos]
+            table[:, lo:hi] = self.locate(
+                _mul_rows(mats[:, None, :], mats[None, lo:hi, :], q))
         self._cayley = table
-        self._inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            self._inv[i] = self.index[self.canon(mat_inv(self.elements[i], q))]
+        inverses = mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
+        self._inv = self.locate(inverses).astype(np.int32)
 
 
 @dataclass
@@ -266,26 +298,24 @@ def enumerate_group(q: int, flavor: str = "SL") -> GroupTable:
     the least integer encoding.
     """
     require_valid_q(q)
+    # the least of +-m is the one whose first nonzero entry is <= (q-1)/2
+    # (negation maps x to q - x), so PSL keeps the first half of those values
+    first = range((q + 1) // 2) if flavor == "PSL" else range(q)
     elements: list[Mat2] = []
     inv_mod = [0] + [pow(x, -1, q) for x in range(1, q)]
-    for a in range(q):
-        for b in range(q):
-            if a:
-                inv_a = inv_mod[a]
+    for a in first:
+        if a:
+            inv_a = inv_mod[a]
+            for b in range(q):
                 for c in range(q):
                     elements.append((a, b, c, (1 + b * c) * inv_a % q))
-            elif b:
+        else:
+            for b in first[1:]:
                 c = (-inv_mod[b]) % q
                 for d in range(q):
                     elements.append((a, b, c, d))
     if flavor == "PSL":
-        keep = []
-        for m in elements:
-            neg = mat_neg(m, q)
-            if encode(m, q) < encode(neg, q):
-                keep.append(m)
-        keep.sort(key=lambda m: encode(m, q))
-        return GroupTable(q, "PSL", keep)
+        return GroupTable(q, "PSL", elements)
 
     table = GroupTable(q, "SL", elements)
     eps = least_primitive_root(q)
@@ -508,15 +538,8 @@ class PSLProjection:
         assert sl.flavor == "SL" and psl.flavor == "PSL" and sl.q == psl.q
         self.sl = sl
         self.psl = psl
-        q = sl.q
-        proj = np.empty(sl.n, dtype=np.int32)
-        for i, m in enumerate(sl.elements):
-            proj[i] = psl.index[psl.canon(m)]
-        self.proj = proj
-        section = np.empty(psl.n, dtype=np.int32)
-        for j, m in enumerate(psl.elements):
-            section[j] = sl.index[m]
-        self.section = section
+        self.proj = psl.locate(sl.matrices()).astype(np.int32)
+        self.section = sl.locate(psl.matrices()).astype(np.int32)
 
     def __call__(self, sl_idx: int) -> int:
         return int(self.proj[sl_idx])

@@ -346,7 +346,7 @@ class ModuleLayer:
         psl.build_cayley()
         self.n = psl.n
         self.n_edges = graph.n_edges
-        self.mul = psl._cayley.astype(np.int64)
+        self.mul = psl._cayley
         self.inv = cycles.inv
         self.rows = cycles.pairing_rows
         self.trans = cycles.trans

@@ -154,27 +154,62 @@ def _edge_orbits(q: int, sl: GroupTable,
     return out
 
 
-def _coset_table(psl: GroupTable, elems_psl: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-    """Left-coset index of every PSL element, plus least reps per coset."""
-    coset = np.full(psl.n, -1, dtype=np.int32)
-    reps: list[int] = []
-    for g in range(psl.n):
-        if coset[g] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for h in elems_psl:
-            coset[psl.mul(g, h)] = cid
+def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Least node of the connected component of each node in range(n).
+
+    The edges are the pairs (src[i], dst[i]).  Min-label propagation: each
+    round lowers every label to the least label across its edges, in both
+    directions, then pointer-jumps (label = label[label]) until stable.
+    """
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        np.minimum.at(new, dst, label[src])
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _coset_table(perms: list[np.ndarray], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left-coset index of every PSL element, plus least reps per coset.
+
+    `perms` are the right multiplications g -> g*s by generators s of a
+    subgroup H of the given order; the cosets gH are their orbits.  Coset
+    ids follow the order of the least representatives.
+    """
+    n = len(perms[0])
+    ident = np.arange(n)
+    label = _component_labels(n, np.tile(ident, len(perms)), np.concatenate(perms))
+    reps = np.flatnonzero(label == ident)
+    coset = np.searchsorted(reps, label).astype(np.int32)
+    sizes = np.bincount(coset, minlength=len(reps))
+    if not (sizes == order).all():
+        raise groups.GroupBuildError(
+            f"coset sizes {sorted(set(sizes.tolist()))}, expected {order}: "
+            "the generators do not generate the subgroup")
     return coset, reps
 
 
-def build_graph(q: int, flavor: str, k: int = 0) -> OrbitGraph:
-    """Expanded PSL2(q)-graph with the flavor's incidence pattern."""
+def build_graph(q: int, flavor: str, k: int = 0,
+                sl: GroupTable | None = None) -> OrbitGraph:
+    """Expanded PSL2(q)-graph with the flavor's incidence pattern.
+
+    `sl` is an enumerated SL2(q) table to reuse; by default one is built.
+    """
     if flavor != flavor_of(q):
         raise ValueError(f"q={q} has flavor {flavor_of(q)}, not {flavor}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sl = groups.enumerate_group(q, "SL")
+    if sl is None:
+        sl = groups.enumerate_group(q, "SL")
+    elif sl.flavor != "SL" or sl.q != q:
+        raise ValueError(f"expected the SL2({q}) table, got {sl.flavor}2({sl.q})")
     psl = groups.enumerate_group(q, "PSL")
     if q <= 13:
         psl.build_cayley()
@@ -184,28 +219,38 @@ def build_graph(q: int, flavor: str, k: int = 0) -> OrbitGraph:
     eorbits = _edge_orbits(q, sl, vstabs, k)
     graph = OrbitGraph(q, flavor, k, sl, psl, proj, vstabs, eorbits)
 
+    # generators recur across stabilizers (a, alpha, the Q8 pair): one
+    # permutation per distinct PSL element
+    perms: dict[int, np.ndarray] = {}
+
+    def right_mul(sl_idx: int) -> np.ndarray:
+        h = proj(sl_idx)
+        if h not in perms:
+            perms[h] = psl.right_mul(h)
+        return perms[h]
+
+    def cosets(handle: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
+        order = len(np.unique(proj.proj[list(handle.elements)]))
+        return _coset_table([right_mul(s) for s in handle.generators], order)
+
     for v in VERTEX_NAMES:
-        elems_psl = sorted(set(proj(i) for i in vstabs[v].elements))
-        coset, reps = _coset_table(psl, tuple(elems_psl))
+        coset, reps = cosets(vstabs[v])
         graph.vertex_offset[v] = len(graph.vertex_rep)
         graph.vertex_coset[v] = coset
-        graph.vertex_rep.extend((v, r) for r in reps)
-        assert len(reps) * len(elems_psl) == psl.n
+        graph.vertex_rep.extend((v, int(r)) for r in reps)
 
     srcs, tgts = [], []
     for name, eo in eorbits.items():
-        elems_psl = sorted(set(proj(i) for i in eo.stabilizer.elements))
-        coset, reps = _coset_table(psl, tuple(elems_psl))
+        coset, reps = cosets(eo.stabilizer)
         graph.edge_offset[name] = len(graph.edge_rep)
         graph.edge_coset[name] = coset
-        graph.edge_rep.extend((name, r) for r in reps)
-        assert len(reps) * len(elems_psl) == psl.n
-        twist_psl = proj(eo.twist)
-        for r in reps:
-            srcs.append(graph.vertex_of(eo.source, r))
-            tgts.append(graph.vertex_of(eo.target, psl.mul(r, twist_psl)))
-    graph.edge_src = np.array(srcs, dtype=np.int32)
-    graph.edge_tgt = np.array(tgts, dtype=np.int32)
+        graph.edge_rep.extend((name, int(r)) for r in reps)
+        srcs.append(graph.vertex_offset[eo.source]
+                    + graph.vertex_coset[eo.source][reps])
+        tgts.append(graph.vertex_offset[eo.target]
+                    + graph.vertex_coset[eo.target][right_mul(eo.twist)[reps]])
+    graph.edge_src = np.concatenate(srcs).astype(np.int32)
+    graph.edge_tgt = np.concatenate(tgts).astype(np.int32)
     _check_invariants(graph)
     return graph
 
@@ -231,22 +276,13 @@ def homology_ranks(graph: OrbitGraph) -> tuple[int, int]:
     """(b0, b1) of the expanded graph; b1 from the Euler characteristic.
 
     The boundary matrix of a graph has rank V - b0, so b1 = E - V + b0; b0
-    is computed by union-find over the expanded edges.
+    counts the connected components, found by `_component_labels` over the
+    expanded edges.
     """
-    parent = list(range(graph.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, t in zip(graph.edge_src, graph.edge_tgt):
-        rs, rt = find(int(s)), find(int(t))
-        if rs != rt:
-            parent[rs] = rt
-    b0 = sum(1 for x in range(graph.n_vertices) if find(x) == x)
-    b1 = graph.n_edges - graph.n_vertices + b0
+    n_v = graph.n_vertices
+    labels = _component_labels(n_v, graph.edge_src, graph.edge_tgt)
+    b0 = int(np.count_nonzero(labels == np.arange(n_v)))
+    b1 = graph.n_edges - n_v + b0
     return b0, b1
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,3 +110,51 @@ def test_enumeration_deterministic():
 def test_dump_group_format(sl13):
     line = groups.dump_group(sl13).splitlines()[0]
     assert len(line.split()) == 5    # index + four matrix entries
+
+
+# -- the array operations against per-element reference loops -------------------
+
+
+def _psl_reference(sl):
+    """PSL elements and index by the +-m filter on the SL list."""
+    q = sl.q
+    enc = lambda m: groups.encode(m, q)
+    keep = sorted((m for m in sl.elements if enc(m) < enc(groups.mat_neg(m, q))),
+                  key=enc)
+    index = {m: i for i, m in enumerate(keep)}
+    for m in keep:
+        index.setdefault(groups.mat_neg(m, q), index[m])
+    return keep, index
+
+
+@pytest.fixture(scope="module", params=[13, 29, 37, 53])
+def sl_psl(request):
+    q = request.param
+    return groups.enumerate_group(q, "SL"), groups.enumerate_group(q, "PSL")
+
+
+def test_psl_enumeration_matches_filter(sl_psl):
+    sl, psl = sl_psl
+    elements, index = _psl_reference(sl)
+    assert psl.elements == elements
+    assert psl.index == index
+
+
+def test_psl_projection_matches_loops(sl_psl):
+    sl, psl = sl_psl
+    q = sl.q
+    proj = groups.PSLProjection(sl, psl)
+    least = lambda m: min(m, groups.mat_neg(m, q), key=lambda x: groups.encode(x, q))
+    assert proj.proj.tolist() == [psl.index[least(m)] for m in sl.elements]
+    assert proj.section.tolist() == [sl.index[m] for m in psl.elements]
+
+
+def test_locate_rejects_matrix_outside_table(sl13):
+    psl = groups.enumerate_group(13, "PSL")
+    good = np.array([sl13.elements[5], sl13.elements[700]], dtype=np.int64)
+    assert sl13.locate(good).tolist() == [5, 700]
+    assert sl13.locate(good - 13).tolist() == [5, 700]      # entries mod q
+    bad = np.array([sl13.elements[5], (2, 0, 0, 2)], dtype=np.int64)   # det 4
+    for table in (sl13, psl):
+        with pytest.raises(groups.GroupBuildError):
+            table.locate(bad)

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sl2cert import orbit_graph
+from sl2cert import groups, orbit_graph
 from sl2cert.orbit_graph import build_graph, flavor_of, homology_ranks, y0_word
 
 
@@ -96,3 +98,77 @@ def test_translate_edge_action(graph13):
         lhs = graph13.translate_edge(g, graph13.translate_edge(h, e))
         rhs = graph13.translate_edge(psl.mul(g, h), e)
         assert lhs == rhs
+
+
+# -- the array expansion against per-element reference loops --------------------
+
+
+def _coset_table_reference(psl, elems_psl):
+    """Left-coset index of every PSL element and least reps, one element at a time."""
+    coset = np.full(psl.n, -1, dtype=np.int32)
+    reps = []
+    for g in range(psl.n):
+        if coset[g] >= 0:
+            continue
+        reps.append(g)
+        for h in elems_psl:
+            coset[psl.mul(g, h)] = len(reps) - 1
+    return coset, reps
+
+
+@pytest.mark.parametrize("q", [13, 29, 37, 53])
+def test_expansion_matches_reference_loops(q):
+    graph = build_graph(q, flavor_of(q))
+    psl, proj = graph.psl, graph.proj
+    psl_elems = lambda handle: sorted({proj(i) for i in handle.elements})
+    for v, stab in graph.vertex_stabs.items():
+        coset, reps = _coset_table_reference(psl, psl_elems(stab))
+        assert np.array_equal(graph.vertex_coset[v], coset)
+        assert [r for o, r in graph.vertex_rep if o == v] == reps
+    srcs, tgts = [], []
+    for name, eo in graph.edge_orbits.items():
+        coset, reps = _coset_table_reference(psl, psl_elems(eo.stabilizer))
+        assert np.array_equal(graph.edge_coset[name], coset)
+        assert [r for o, r in graph.edge_rep if o == name] == reps
+        twist = proj(eo.twist)
+        for r in reps:
+            srcs.append(graph.vertex_of(eo.source, r))
+            tgts.append(graph.vertex_of(eo.target, psl.mul(r, twist)))
+    assert graph.edge_src.tolist() == srcs
+    assert graph.edge_tgt.tolist() == tgts
+
+
+def test_coset_table_rejects_proper_subgroup(graph13):
+    q8 = groups.standard_subgroup("Q8", graph13.sl)
+    psl, proj = graph13.psl, graph13.proj
+    order = len({proj(i) for i in q8.elements})
+    perms = [psl.right_mul(proj(g)) for g in q8.generators]
+    coset, reps = orbit_graph._coset_table(perms, order)
+    assert len(reps) * order == psl.n
+    with pytest.raises(groups.GroupBuildError):
+        orbit_graph._coset_table(perms[:1], order)
+
+
+def _b0_union_find(n, edges):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s, t in edges:
+        parent[find(s)] = find(t)
+    return sum(1 for x in range(n) if find(x) == x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_homology_ranks_matches_union_find(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 60, 45
+    src = rng.integers(n, size=m).astype(np.int32)
+    tgt = rng.integers(n, size=m).astype(np.int32)
+    stub = SimpleNamespace(n_vertices=n, n_edges=m, edge_src=src, edge_tgt=tgt)
+    b0 = _b0_union_find(n, zip(src.tolist(), tgt.tolist()))
+    assert b0 > 1
+    assert homology_ranks(stub) == (b0, m - n + b0)
