@@ -90,10 +90,12 @@ _PANEL = 32
 
 
 def _mod_float(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, in place, for integer-valued float64 entries with |x| < 2^52.
+    """x mod p, in place, for integer-valued float64 entries with |x| < 2^52
+    and p < 2^30.
 
-    The quotient estimate floor(x / p) is below 2^23, so q * p is exact and
-    the remainder is off by at most one p, which the last two steps fix.
+    The quotient estimate q = floor(x * (1/p)) is within one of floor(x / p),
+    so |q * p| <= |x| + 2p < 2^53: q * p is exact, and the remainder is off
+    by at most one p, which the last two steps fix.
     """
     q = x * (1.0 / p)
     np.floor(q, out=q)
@@ -107,8 +109,7 @@ def _mod_float(x: np.ndarray, p: int) -> np.ndarray:
 def _check_exact(a: np.ndarray, b: np.ndarray, inner: int) -> None:
     """Raise unless every partial sum of an integer product of a and b with
     this inner dimension stays below 2^53, so float64 computes it exactly."""
-    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-             * inner)
+    bound = _max_abs(a) * _max_abs(b) * inner
     if bound >= 2 ** 53:
         raise OverflowError(f"integer product bound {bound} is not below 2^53")
 

@@ -33,8 +33,8 @@ units of O_K otherwise) lands in the target class of Z^D / L.  A search
 over the finite group Z^D / L finds the tuple; a short integer solution t
 is read off an LLL-reduced basis (sympy's exact LLL).  No floating point
 takes part: every matrix, ideal and unit is exact, and float64 appears only
-in products of integer arrays whose sums stay below 2^53 (bounds stated at
-each use).
+in sums and products of integer arrays that are checked to stay below 2^53
+(`_scatter`, `intlin._exact_matmul`).
 
 Exact linear algebra.  Determinants, solves, inverses and characteristic
 polynomials over Z and Q use sympy's DomainMatrix (domains ZZ and QQ).  The
@@ -57,9 +57,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from .cyclo import Cyclo
 from .groups import ClassLabel, _closure
-from .intlin import lu_mod_p
+from .intlin import _exact_matmul, _mod_float, lu_mod_p
 
 _PRIME = 1000003          # independence tests mod p
+_SCATTER_COLUMNS = 256    # columns per bincount in _scatter
 
 
 # -- small exact linear algebra ---------------------------------------------------
@@ -111,16 +112,6 @@ def hnf_rows(vectors) -> list[list[int] | None]:
     return basis
 
 
-def _reduce(v, basis) -> tuple[int, ...]:
-    """Canonical representative of v modulo the lattice of a full HNF basis."""
-    v = list(v)
-    for i, row in enumerate(basis):
-        q = v[i] // row[i]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
-
-
 def lattice_det(gens, bound: int) -> int:
     """Covolume of the full-rank lattice spanned by integer vectors.
 
@@ -154,21 +145,41 @@ def lattice_det(gens, bound: int) -> int:
     return det
 
 
-def _independent_rows(mat: np.ndarray, count: int) -> np.ndarray:
-    """Least `count` row indices of mat that are independent mod p.
+def _compress(mat: np.ndarray, count: int) -> np.ndarray:
+    """mat @ mix mod p, as float64 residues, for the fixed pseudo-random
+    matrix mix (seed 0) of count + 4 columns: one exact float64 product."""
+    mix = np.random.default_rng(0).integers(0, _PRIME, size=(mat.shape[1], count + 4))
+    return _mod_float(_exact_matmul(np.asarray(mat, dtype=np.float64), mix), _PRIME)
 
-    The rows are compressed by a fixed pseudo-random matrix first: rows that
-    stay independent after compression are independent in mat.
-    """
-    rng = np.random.default_rng(0)
-    mix = rng.integers(0, _PRIME, size=(mat.shape[1], count + 4))
-    # entries of mat are below 2^31 after reduction; split mix into 15-bit halves
-    m = np.asarray(mat, dtype=np.int64) % _PRIME
-    z = (m @ (mix & 0x7FFF) % _PRIME + (m @ (mix >> 15) % _PRIME) * (1 << 15)) % _PRIME
+
+def _independent_rows(z: np.ndarray, count: int) -> np.ndarray:
+    """Least `count` row indices of a matrix that are independent mod p, read
+    off its compression z (`_compress`): rows that stay independent after
+    compression are independent in the matrix."""
     piv = lu_mod_p(z.T, _PRIME)[2]
     if len(piv) < count:
         raise ArithmeticError(f"only {len(piv)} of {count} independent rows")
     return np.array(piv[:count])
+
+
+def _scatter(layer: "ModuleLayer", cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Columns sum_g weights[g] e_{rows[g, c]} (c in cols), n_edges x len(cols).
+
+    float64 sums of integers, exact while sum |weights| < 2^53.  One
+    bincount per _SCATTER_COLUMNS columns bounds its index and weight
+    temporaries.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.abs(weights).sum() >= 2 ** 53:
+        raise OverflowError("scatter weights are not below 2^53")
+    out = np.empty((layer.n_edges, len(cols)))
+    for c0 in range(0, len(cols), _SCATTER_COLUMNS):
+        part = cols[c0:c0 + _SCATTER_COLUMNS]
+        w = len(part)
+        flat = layer.rows[:, part].astype(np.intp) * w + np.arange(w)
+        out[:, c0:c0 + w] = np.bincount(flat.ravel(), np.repeat(weights, w),
+                                        minlength=layer.n_edges * w).reshape(-1, w)
+    return out
 
 
 # -- characters, idempotents and the rank-one element ----------------------------
@@ -304,22 +315,22 @@ class Block:
         self.d = gclass.degree
         self.m = gclass.degree * self.k if gclass.degree > 1 else 1
         self.eps = eps
-        n, mul, inv, rows = layer.n, layer.mul, layer.inv, layer.rows
-        # coordinates J of eps.H1: rows i of P with P[i, j] = (eps.e_j)[i]
-        def p_rows(cand):
-            b = np.zeros((layer.n_edges, len(cand)))
-            np.add.at(b, (rows[:, cand], np.arange(len(cand))[None, :]),
-                      eps[:, None].astype(np.float64))
-            # |entries| <= sum|eps| * cycle length < 2^53: exact in float64
-            return np.rint(layer.fund_f @ b).astype(np.int64).T
-        self.J = _independent_rows(p_rows(np.arange(n)), self.m)
-        pj = p_rows(self.J)                                # m x n
-        erow = lambda g: eps[mul[:, inv[g]]]              # eps.g over G
-        self.gk = _independent_rows(eps[mul[:, inv]].T, self.m)
-        cols = lu_mod_p(np.array([erow(int(g)) for g in self.gk]), _PRIME)[2]
-        self.egk = np.array([erow(g) for g in self.gk])
+        n, mul, inv = layer.n, layer.mul, layer.inv
+        # coordinates J of eps.H1: rows i of P with P[i, j] = (eps.e_j)[i];
+        # P = B^T fund^T with B the scatter of eps, compressed as B^T (fund^T mix)
+        y = _compress(layer.fund_f.T, self.m)
+        b = _scatter(layer, np.arange(n), eps)
+        self.J = _independent_rows(_mod_float(_exact_matmul(b.T, y), _PRIME), self.m)
+        del b
+        # the m x b1 rows P[J] themselves
+        pj = _exact_matmul(layer.fund_f, _scatter(layer, self.J, eps)).astype(np.int64).T
+        # e[:, g] = eps.g over G
+        e = eps[mul[:, inv]]
+        self.gk = _independent_rows(_compress(e.T, self.m), self.m)
+        self.egk = e[:, self.gk].T.copy()                # a view would keep e alive
+        cols = lu_mod_p(self.egk, _PRIME)[2]
         d_lam = abs(DomainMatrix.from_list(self.egk[:, cols].tolist(), ZZ).det())
-        det_lam = lattice_det([erow(g)[cols] for g in range(n)], d_lam)
+        det_lam = lattice_det(e[cols].T, d_lam)
         jk = lu_mod_p(pj, _PRIME)[2]
         d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
         det_h = lattice_det(list(pj.T), d_h)
@@ -423,38 +434,49 @@ def _krylov(mat: DomainMatrix, vec) -> DomainMatrix:
 @dataclass
 class _FieldData:
     """Intrinsic data of a character field K = Q(eta), O_K = Z[eta]."""
-    mult: DomainMatrix     # multiplication by eta in eta-coordinates, over QQ
+    powers: np.ndarray     # (k, k, k) ints: multiplication by eta^j in eta-coordinates
+    gram: np.ndarray       # (k, k) ints: the trace form Tr(eta^(i+j))
     units: list            # eta-coordinates of units, small products first
 
-    def matrix(self, a) -> DomainMatrix:
-        """Matrix of multiplication by a = sum_j a_j eta^j (columns a eta^j)."""
-        return _krylov(self.mult, a)
+    def matrices(self, a) -> np.ndarray:
+        """Matrices of multiplication by each row a = sum_j a_j eta^j."""
+        return np.tensordot(np.asarray(a, dtype=object), self.powers, axes=1)
 
-    def norm(self, a):
-        return self.matrix(a).det()
+    def matrix(self, a) -> DomainMatrix:
+        """Matrix of multiplication by a (columns a eta^j), over QQ."""
+        return DomainMatrix.from_list(self.matrices([a])[0].tolist(), QQ)
+
+    def norms(self, a) -> np.ndarray:
+        """N(a) = det of the matrix of a, for each integer row a."""
+        return np.array([DomainMatrix.from_list(m.tolist(), ZZ).det()
+                         for m in self.matrices(a)], dtype=object)
 
     def trace_form(self, a, b) -> Fraction:
-        t = sum((self.matrix(a) * self.matrix(b)).diagonal())
-        return Fraction(t.numerator, t.denominator)
+        """Tr(a b) = sum_ij a_i b_j Tr(eta^(i+j))."""
+        return Fraction(np.asarray(a, dtype=object) @ self.gram
+                        @ np.asarray(b, dtype=object))
 
 
 def _field_data(charpoly) -> _FieldData:
     """Field data for the characteristic polynomial of eta, listed from t^k down."""
     k = len(charpoly) - 1
-    mult = [[int(i == j + 1) for j in range(k)] for i in range(k)]
-    for i in range(k):
-        mult[i][k - 1] = -charpoly[k - i]
-    fd = _FieldData(DomainMatrix.from_list(mult, QQ), [])
+    mult = np.array([[int(i == j + 1) for j in range(k)] for i in range(k)], dtype=object)
+    mult[:, k - 1] = [-int(charpoly[k - i]) for i in range(k)]
+    eta_powers = [np.eye(k, dtype=np.int64).astype(object)]
+    for _ in range(2 * k - 2):
+        eta_powers.append(mult.dot(eta_powers[-1]))
+    gram = np.array([[np.trace(eta_powers[i + j]) for j in range(k)] for i in range(k)],
+                    dtype=object)
+    fd = _FieldData(np.array(eta_powers[:k]), gram, [])
     if k == 1:
         fd.units = [(1,), (-1,)]
         return fd
     # generators: the smallest units (up to sign) with coordinates in [-2, 2]
-    small = []
-    for co in itertools.product(range(-2, 3), repeat=k):
-        if any(co[1:]) and abs(fd.norm(co)) == 1:
-            small.append((fd.trace_form(co, co), co))
+    cands = np.array(list(itertools.product(range(-2, 3), repeat=k)), dtype=object)
+    cands = cands[cands[:, 1:].any(axis=1)]
+    cands = cands[np.abs(fd.norms(cands)) == 1]
     gens = []
-    for _, co in sorted(small):
+    for _, co in sorted((fd.trace_form(co, co), co) for co in map(tuple, cands.tolist())):
         if all(co != g and tuple(-c for c in co) != g for g in gens):
             gens.append(co)
         if len(gens) == k:
@@ -540,12 +562,8 @@ def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
     den, sfi = den.element, np.array(sfi.to_list(), dtype=object)
     # C_j[i, :] = sum_x bm[i, x] fund[j, rows[x, J]], all j at once
     call = np.empty((layer.n, k, m), dtype=np.int64)
-    jj = np.arange(m)[None, :]
     for i in range(k):
-        q = np.zeros((layer.n_edges, m))
-        np.add.at(q, (layer.rows[:, block.J], jj), bm[i][:, None].astype(np.float64))
-        # |fund| <= 1 with short cycles and |q| <= sum|bm|: exact in float64
-        call[:, i, :] = np.rint(layer.fund_f @ q).astype(np.int64)
+        call[:, i, :] = _exact_matmul(layer.fund_f, _scatter(layer, block.J, bm[i]))
     wall = call.reshape(layer.n * k, m).astype(object).dot(sfi).reshape(layer.n, k, k)
 
     def w_of(edge_vec):
@@ -597,26 +615,21 @@ def _ideal_coordinates(fd: _FieldData, w_cols, w_den: int, eta):
     # eta-coordinates of W_j e1, as integer numerators over den
     den = bo_den.element * w_den
     coords = w_cols.astype(object).dot(np.array(bo_inv.to_list(), dtype=object).T)
-    mult = np.array(fd.mult.convert_to(ZZ).to_list(), dtype=object)
     block = np.concatenate([np.array([[den] + [0] * (k - 1)], dtype=object), coords])
-    gens = []
-    for _ in range(k):
-        gens.append(block)
-        block = block.dot(mult.T)
-    hb = hnf_rows(np.concatenate(gens).tolist())
+    hb = hnf_rows(np.concatenate([block.dot(pw.T) for pw in fd.powers]).tolist())
     if any(r is None for r in hb):
         raise RepairFailed("moves do not span the field")
-    basis = [[Fraction(x, den) for x in r] for r in hb]
     norm = Fraction(math.prod(r[i] for i, r in enumerate(hb)), den ** k)
-    basis = _lll(basis, fd.trace_form)
+    # the basis is hb / den; LLL is unchanged by the common scale
+    basis = np.array(_lll(hb, fd.trace_form), dtype=object)
+    # candidates a = co . basis / den: |N(a)| = norm, least Tr(a^2) first found
+    cands = np.array([co for co in itertools.product(range(-3, 4), repeat=k) if any(co)],
+                     dtype=object).dot(basis)
     best = None
-    for co in itertools.product(range(-3, 4), repeat=k):
-        if any(co):
-            a = [sum(co[i] * basis[i][j] for i in range(k)) for j in range(k)]
-            if abs(fd.norm(a)) == norm:
-                tr = fd.trace_form(a, a)
-                if best is None or tr < best[0]:
-                    best = (tr, a)
+    for a in cands[np.abs(fd.norms(cands)) == norm * den ** k]:
+        tr = fd.trace_form(a, a)
+        if best is None or tr < best[0]:
+            best = (tr, [Fraction(int(v), den) for v in a])
     if best is None:
         raise RepairFailed("no generator of the ideal found")
     # the columns of the matrix of z0 are z0 eta^t
@@ -680,6 +693,55 @@ def _short_solution(gens: list[list[int]], target: list[int], index: int) -> dic
     return {sub[i]: t for i, t in enumerate(sol) if t}
 
 
+def _unit_tuple(hb, choices, target) -> tuple[list[int] | None, int]:
+    """One vector from each list in choices, summing into the class of target
+    in Z^dim / L, L spanned by the full HNF basis hb.
+
+    Returns the indices of the picks (None if no tuple reaches the class)
+    and the number of classes reached.  Each step keeps, for every class,
+    the first tuple that reaches it, with earlier tuples varying slowest:
+    the tuple a breadth-first search over dicts finds.  Classes are rows
+    reduced by hb and keyed in mixed radix.
+    """
+    dim = len(target)
+    index = math.prod(hb[i][i] for i in range(dim))
+    # reduced entries lie in [0, hb[i][i]); with index < 2^40 the reduction
+    # of a sum of two of them, and every key, fits in int64
+    dtype = np.int64 if index < 2 ** 40 else object
+    basis = np.array(hb, dtype=object)
+    radix = np.array([math.prod(hb[j][j] for j in range(i)) for i in range(dim)],
+                     dtype=object).astype(dtype)
+
+    def classes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced rows of v, their keys and row indices, first occurrences
+        only, in order of first occurrence."""
+        b = basis.astype(v.dtype)
+        for i in range(dim):
+            v -= (v[:, i] // b[i, i])[:, None] * b[i]
+        v = v.astype(dtype, copy=False)
+        key = v.dot(radix)
+        first = np.sort(np.unique(key, return_index=True)[1])
+        return v[first], key[first], first
+
+    def exact(vectors) -> np.ndarray:
+        return np.array(vectors, dtype=object).reshape(-1, dim)
+    target_key = classes(exact([target]))[1][0]
+    reach, keys, _ = classes(exact([[0] * dim]))
+    steps = []
+    for vectors in choices:
+        reps, _, pick = classes(exact(vectors))
+        reach, keys, first = classes((reach[:, None] + reps[None]).reshape(-1, dim))
+        steps.append((first // len(reps), pick[first % len(reps)]))
+    hit = np.flatnonzero(keys == target_key)
+    if not hit.size:
+        return None, len(reach)
+    row, picks = int(hit[0]), []
+    for parent, pick in reversed(steps):
+        picks.insert(0, int(pick[row]))
+        row = int(parent[row])
+    return picks, len(reach)
+
+
 def repair(layer: ModuleLayer, cls: np.ndarray) -> np.ndarray:
     """A generator in cls + x.H1, or RepairFailed when the family has none.
 
@@ -715,25 +777,15 @@ def repair(layer: ModuleLayer, cls: np.ndarray) -> np.ndarray:
     target = [0] * dim
     for pos, (_, _, _, one) in enumerate(parts):
         target = [u + v for u, v in zip(target, embed(pos, one))]
-    target = _reduce(target, hb)
     # search Z^dim / L for one unit per block summing to the target class
-    reach: dict[tuple[int, ...], list] = {_reduce([0] * dim, hb): []}
-    for pos, (block, fd, _, _) in enumerate(parts):
-        classes: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for u in fd.units:
-            classes.setdefault(_reduce(embed(pos, u), hb), u)
-        nxt: dict[tuple[int, ...], list] = {}
-        for r, path in reach.items():
-            for c, u in classes.items():
-                key = _reduce([a + b for a, b in zip(r, c)], hb)
-                if key not in nxt:
-                    nxt[key] = path + [u]
-        reach = nxt
-    if target not in reach:
-        raise RepairFailed(f"no unit tuple in the target class ({len(reach)} of "
+    picks, count = _unit_tuple(hb, [[embed(pos, u) for u in fd.units]
+                                    for pos, (_, fd, _, _) in enumerate(parts)], target)
+    if picks is None:
+        raise RepairFailed(f"no unit tuple in the target class ({count} of "
                            f"{index} classes reached)")
+    units = [fd.units[i] for i, (_, fd, _, _) in zip(picks, parts)]
     want = [0] * dim
-    for pos, u in enumerate(reach[target]):
+    for pos, u in enumerate(units):
         one = parts[pos][3]
         want = [a + b for a, b in zip(want, embed(pos, [c - o for c, o in zip(u, one)]))]
     coeffs = _short_solution(gens, want, index)
