@@ -7,7 +7,8 @@ the rational group algebra Q[PSL2(q)] with
 
 where N(G_e) is the norm element of the edge stabilizer.  The solve is an
 exact Dixon lift over a big prime; verification substitutes back in the
-1092-dimensional algebra with Fraction arithmetic.
+1092-dimensional algebra, on integer coefficient arrays over one common
+denominator.
 
 The solution then lifts through SL2(q) -> PSL2(q): each x_e pulls back to
 half its least section lift, the defect r = 1 - sum satisfies z r = -r for

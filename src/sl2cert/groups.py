@@ -240,8 +240,15 @@ class GroupTable:
 
     def right_mul(self, h: int) -> np.ndarray:
         """The permutation g -> g * h of all element indices."""
-        h_mat = np.array(self.elements[h], dtype=np.int64)
-        return self.locate(_mul_rows(self.matrices(), h_mat, self.q))
+        if self._cayley is not None:
+            return self._cayley[:, h].astype(np.int64)
+        return self.locate(_mul_rows(self.matrices(), np.array(self.elements[h]), self.q))
+
+    def left_mul(self, h: int) -> np.ndarray:
+        """The permutation g -> h * g of all element indices."""
+        if self._cayley is not None:
+            return self._cayley[h].astype(np.int64)
+        return self.locate(_mul_rows(np.array(self.elements[h]), self.matrices(), self.q))
 
     def build_cayley(self) -> None:
         """Materialize the full multiplication table (PSL-sized groups only)."""

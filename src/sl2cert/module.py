@@ -81,15 +81,19 @@ def hnf_rows(vectors) -> list[list[int] | None]:
     """Upper-triangular basis (positive pivots) of the Z-span of integer vectors.
 
     Entry i is the basis row with pivot in column i, or None when the span
-    has no such row.
+    has no such row.  Repeated rows and negatives of earlier rows are
+    dropped first; the reduced basis is unique, so it does not change.
     """
-    vectors = list(vectors)
-    if not vectors:
+    distinct: dict[tuple[int, ...], None] = {}
+    for key in (tuple(int(a) for a in vec) for vec in vectors):
+        if tuple(-a for a in key) not in distinct:
+            distinct.setdefault(key)
+    if not distinct:
         return []
-    k = len(vectors[0])
+    k = len(next(iter(distinct)))
     basis: list[list[int] | None] = [None] * k
-    for vec in vectors:
-        v = [int(a) for a in vec]
+    for key in distinct:
+        v = list(key)
         for i in range(k):
             if v[i] == 0:
                 continue
@@ -258,12 +262,19 @@ def central_element(table, labels, gclass: GaloisClass, inv) -> np.ndarray:
     return out // math.gcd(*(int(v) for v in out))
 
 
-def group_product(mul: np.ndarray, inv: np.ndarray, a: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """(a b)(z) = sum_h a(z h^-1) b(h) in Z[G], a loop over the support of b."""
-    out = np.zeros_like(a)
-    for h in np.flatnonzero(b):
-        out += b[h] * a[mul[:, inv[h]]]
+def group_product(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b in Z[G] on coefficient arrays indexed by `table`, exact at any size
+    on object arrays: a loop over the support of the sparser factor, with one
+    permutation from `table.left_mul` or `table.right_mul` per term."""
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.zeros(len(a), dtype=dtype)
+    if np.count_nonzero(a) < np.count_nonzero(b):      # sum_g a(g) b(g^-1 w)
+        for g in np.flatnonzero(a):
+            out += a[g] * b[table.left_mul(table.inv(int(g)))]
+    else:                                               # sum_h a(w h^-1) b(h)
+        for h in np.flatnonzero(b):
+            out += b[h] * a[table.right_mul(table.inv(int(h)))]
     return out
 
 
@@ -374,7 +385,7 @@ class ModuleLayer:
             if gc.degree == 1:
                 eps = ce
             else:
-                eps = group_product(self.mul, self.inv, ce, self.x)
+                eps = group_product(psl, ce, self.x)
                 eps //= math.gcd(*(int(v) for v in eps))
             self.blocks.append(Block(self, gc, eps))
         self._fields: dict[str, _FieldData] = {}
@@ -547,7 +558,7 @@ class RepairFailed(Exception):
 def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
     """W_j (k x k) with nrd(y + t x.e_j) = nrd(y) det(I + t W_j), and W(h)."""
     k, m = block.k, block.m
-    ex = np.array([group_product(layer.mul, layer.inv, block.egk[i], layer.x)
+    ex = np.array([group_product(layer.graph.psl, block.egk[i], layer.x)
                    for i in range(m)])
     idx = lu_mod_p(ex.T, _PRIME)[2]
     if len(idx) != k:

@@ -12,12 +12,16 @@ delta = r/2, giving the exact identity
     1 = (1 - z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}
 
 in Q[G^] (G^ = SL2(q)).  The solve is modular (Dixon lifting + rational
-reconstruction); the final identities are re-verified in exact rational
-arithmetic — numerics never certify.
+reconstruction).  The assembly and both identities run on integer
+coefficient arrays over one common denominator per identity, with every
+group-ring product taken by `module.group_product`; the SL2(q) products take
+their permutations from `GroupTable.locate`, so no SL2(q) multiplication
+table is built.  Numerics never certify.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +37,9 @@ class Inconsistent(Exception):
 
 
 class GroupAlgElt:
-    """Sparse element of Q[G] for an enumerated group table."""
+    """An element of Q[G] as a record: sparse coefficients over a group
+    table, with a text form.  Arithmetic runs on coefficient arrays
+    (`module.group_product`)."""
 
     __slots__ = ("table", "coeffs")
 
@@ -41,57 +47,8 @@ class GroupAlgElt:
         self.table = table
         self.coeffs = {i: c for i, c in (coeffs or {}).items() if c != 0}
 
-    @classmethod
-    def one(cls, table: GroupTable) -> "GroupAlgElt":
-        return cls(table, {table.identity: Fraction(1)})
-
-    @classmethod
-    def basis(cls, table: GroupTable, g: int) -> "GroupAlgElt":
-        return cls(table, {g: Fraction(1)})
-
-    @classmethod
-    def norm_element(cls, table: GroupTable, elements) -> "GroupAlgElt":
-        return cls(table, {int(g): Fraction(1) for g in elements})
-
-    def __add__(self, other: "GroupAlgElt") -> "GroupAlgElt":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return GroupAlgElt(self.table, out)
-
-    def __sub__(self, other: "GroupAlgElt") -> "GroupAlgElt":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, Fraction(0)) - c
-        return GroupAlgElt(self.table, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupAlgElt(self.table,
-                               {g: c * other for g, c in self.coeffs.items()})
-        mul = self.table.mul
-        out: dict[int, Fraction] = {}
-        for g, c in self.coeffs.items():
-            for h, d in other.coeffs.items():
-                k = mul(g, h)
-                out[k] = out.get(k, Fraction(0)) + c * d
-        return GroupAlgElt(self.table, out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GroupAlgElt":
-        return self * -1
-
     def __eq__(self, other) -> bool:
         return self.table is other.table and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def translate_left(self, g: int) -> "GroupAlgElt":
-        mul = self.table.mul
-        return GroupAlgElt(self.table,
-                           {mul(g, h): c for h, c in self.coeffs.items()})
 
     def dumps(self) -> str:
         return "\n".join(f"{g} {c.numerator}/{c.denominator}"
@@ -106,35 +63,44 @@ class GroupAlgElt:
         return cls(table, coeffs)
 
 
-def project(elt: GroupAlgElt, graph: OrbitGraph) -> GroupAlgElt:
-    """Ring homomorphism pi: Q[SL] -> Q[PSL]."""
-    out: dict[int, Fraction] = {}
-    for g, c in elt.coeffs.items():
-        h = graph.proj(g)
-        out[h] = out.get(h, Fraction(0)) + c
-    return GroupAlgElt(graph.psl, out)
-
-
-def lift_section(elt: GroupAlgElt, graph: OrbitGraph) -> GroupAlgElt:
-    """Section lift Q[PSL] -> Q[SL] on the least-encoding representatives."""
-    return GroupAlgElt(graph.sl,
-                       {graph.proj.lift(g): c for g, c in elt.coeffs.items()})
-
-
 def _stabilizer_psl(graph: OrbitGraph, orbit: str) -> list[int]:
     eo = graph.edge_orbits[orbit]
     return sorted(set(graph.proj(i) for i in eo.stabilizer.elements))
 
 
-def _steps_by_orbit(table: GroupTable, path: EdgePath,
-                    lift=None) -> dict[str, GroupAlgElt]:
-    """s_e = sum_i eps_i a_i over the steps through orbit e (a_i lifted by `lift`)."""
-    out: dict[str, dict[int, Fraction]] = {}
+def _indicator(n: int, elements) -> np.ndarray:
+    """The int64 coefficient array of sum_{g in elements} g."""
+    out = np.zeros(n, dtype=np.int64)
+    out[list(elements)] = 1
+    return out
+
+
+def _step_sums(path: EdgePath, n: int) -> dict[str, np.ndarray]:
+    """s_e = sum_i eps_i a_i over the steps through orbit e, in Z[PSL2(q)]."""
+    out: dict[str, np.ndarray] = {}
     for orbit, a, sign in path.steps:
-        key = a if lift is None else lift(a)
-        coeffs = out.setdefault(orbit, {})
-        coeffs[key] = coeffs.get(key, Fraction(0)) + sign
-    return {orbit: GroupAlgElt(table, c) for orbit, c in out.items()}
+        out.setdefault(orbit, np.zeros(n, dtype=np.int64))[a] += sign
+    return out
+
+
+def _arrays(elements: dict[str, GroupAlgElt],
+            n: int) -> tuple[dict[str, np.ndarray], int]:
+    """Integer numerator arrays of the elements over their least common
+    denominator."""
+    den = math.lcm(*(c.denominator for elt in elements.values()
+                     for c in elt.coeffs.values()))
+    out = {}
+    for orbit, elt in elements.items():
+        num = np.zeros(n, dtype=object)
+        for g, c in elt.coeffs.items():
+            num[g] = c.numerator * (den // c.denominator)
+        out[orbit] = num
+    return out, den
+
+
+def _element(table: GroupTable, num: np.ndarray, den: int) -> GroupAlgElt:
+    return GroupAlgElt(table, {int(g): Fraction(int(num[g]), den)
+                               for g in np.flatnonzero(num)})
 
 
 def solve_partition_of_unity(graph: OrbitGraph,
@@ -152,18 +118,13 @@ def solve_partition_of_unity(graph: OrbitGraph,
     n = psl.n
     psl.build_cayley()
     mul, inv = psl._cayley, psl._inv
-    s_by_orbit = _steps_by_orbit(psl, path)
+    s_by_orbit = _step_sums(path, n)
 
     blocks: list[np.ndarray] = []
     col_meta: list[tuple[str, int]] = []     # (orbit, right coset rep)
     for orbit, s_e in s_by_orbit.items():
         stab = _stabilizer_psl(graph, orbit)
-        s_vec = np.zeros(n, dtype=np.int64)
-        for g, c in s_e.coeffs.items():
-            s_vec[g] = int(c)
-        norm = np.zeros(n, dtype=np.int64)
-        norm[stab] = 1
-        u = module.group_product(mul, inv, s_vec, norm)     # s_e N(K)
+        u = module.group_product(psl, s_e, _indicator(n, stab))    # s_e N(K)
         covered = np.zeros(n, dtype=bool)
         reps = []
         for g in range(n):
@@ -188,16 +149,16 @@ def solve_partition_of_unity(graph: OrbitGraph,
     if sol is None:
         raise Inconsistent("p-adic lifting failed to reconstruct a solution")
 
-    # assemble x~_e = (1/|K_e|) N(K_e) (sum_c u_c rep_c) and verify exactly
-    parts: dict[str, dict[int, Fraction]] = {orbit: {} for orbit in s_by_orbit}
+    # assemble x~_e = N(K_e) (sum_c u_c rep_c) / |K_e| over one denominator
+    den = math.lcm(*(u_c.denominator for u_c in sol))
+    parts = {orbit: np.zeros(n, dtype=object) for orbit in s_by_orbit}
     for (orbit, rep), u_c in zip(col_meta, sol):
-        if u_c:
-            parts[orbit][rep] = u_c
+        parts[orbit][rep] = u_c.numerator * (den // u_c.denominator)
     solution: dict[str, GroupAlgElt] = {}
-    for orbit, coeffs in parts.items():
+    for orbit, v in parts.items():
         stab = _stabilizer_psl(graph, orbit)
-        norm = GroupAlgElt.norm_element(psl, stab)
-        solution[orbit] = (norm * GroupAlgElt(psl, coeffs)) * Fraction(1, len(stab))
+        x_num = module.group_product(psl, _indicator(n, stab), v)
+        solution[orbit] = _element(psl, x_num, den * len(stab))
     verify_partition(graph, path, solution)
     return solution
 
@@ -205,12 +166,12 @@ def solve_partition_of_unity(graph: OrbitGraph,
 def verify_partition(graph: OrbitGraph, path: EdgePath,
                      solution: dict[str, GroupAlgElt]) -> None:
     """Exact substitution check of the G-level identity."""
-    psl = graph.psl
-    total = GroupAlgElt(psl)
-    for orbit, s_e in _steps_by_orbit(psl, path).items():
-        norm = GroupAlgElt.norm_element(psl, _stabilizer_psl(graph, orbit))
-        total = total + s_e * (norm * solution[orbit])
-    if total != GroupAlgElt.one(psl):
+    psl, n = graph.psl, graph.psl.n
+    num, den = _arrays(solution, n)
+    total = sum(module.group_product(psl, s_e, module.group_product(
+        psl, _indicator(n, _stabilizer_psl(graph, orbit)), num[orbit]))
+        for orbit, s_e in _step_sums(path, n).items())
+    if not np.array_equal(total, den * _indicator(n, [psl.identity]).astype(object)):
         raise Inconsistent("partition identity failed exact verification")
 
 
@@ -218,21 +179,32 @@ def lift_partition(graph: OrbitGraph, path: EdgePath,
                    solution: dict[str, GroupAlgElt]
                    ) -> tuple[dict[str, GroupAlgElt], GroupAlgElt]:
     """Lift to Q[SL2(q)]: x_e = lift(x~_e)/2 and delta with the exact identity
-    1 = (1-z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}."""
-    sl = graph.sl
-    x = {orbit: lift_section(elt, graph) * Fraction(1, 2)
-         for orbit, elt in solution.items()}
-    norms = {orbit: GroupAlgElt.norm_element(
-        sl, graph.edge_orbits[orbit].stabilizer.elements) for orbit in x}
-    total = GroupAlgElt(sl)
-    for orbit, s_hat in _steps_by_orbit(sl, path, graph.proj.lift).items():
-        total = total + s_hat * (norms[orbit] * x[orbit])
-    r = GroupAlgElt.one(sl) - total
-    z_r = r.translate_left(sl.z)
-    if z_r != -r:
+    1 = (1-z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}.
+
+    x_e and the sum carry the denominator d = 2 lcm(den x~_e), r the
+    numerators of d (1 - sum), and delta = r / 2d.
+    """
+    sl, section = graph.sl, graph.proj.section
+
+    def lifted(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(sl.n, dtype=v.dtype)
+        out[section] = v
+        return out
+
+    num, den = _arrays(solution, graph.psl.n)
+    den *= 2
+    x_num = {orbit: lifted(v) for orbit, v in num.items()}
+    total = sum(module.group_product(sl, lifted(s_e), module.group_product(
+        sl, _indicator(sl.n, graph.edge_orbits[orbit].stabilizer.elements),
+        x_num[orbit])) for orbit, s_e in _step_sums(path, graph.psl.n).items())
+    one = _indicator(sl.n, [sl.identity]).astype(object)
+    r = den * one - total
+    z = _indicator(sl.n, [sl.z])
+    if not np.array_equal(module.group_product(sl, z, r), -r):
         raise Inconsistent("z.r != -r: the residue is not in the kernel ideal")
-    delta = r * Fraction(1, 2)
-    one_minus_z = GroupAlgElt.one(sl) - GroupAlgElt.basis(sl, sl.z)
-    if one_minus_z * delta + total != GroupAlgElt.one(sl):
+    # 2d ((1 - z) delta + sum) = 2d . 1, with delta = r / 2d
+    if not np.array_equal(module.group_product(sl, one - z, r) + 2 * total,
+                          2 * den * one):
         raise Inconsistent("lifted identity failed exact verification")
-    return x, delta
+    x = {orbit: _element(sl, v, den) for orbit, v in x_num.items()}
+    return x, _element(sl, r, 2 * den)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +126,9 @@ def test_criterion_07_partition_of_unity_and_lift(graph13, path13):
     x, delta = partition.lift_partition(graph13, path13, solution)
     # lift_partition asserts z r = -r and the exact identity in dim 2184
     assert delta.coeffs, "lift produced an empty correction term"
+    # z lies in every lifted stabilizer, so delta = (1 - z)/4
+    sl = graph13.sl
+    assert delta.coeffs == {sl.identity: Fraction(1, 4), sl.z: Fraction(-1, 4)}
     assert time.monotonic() - t0 < 600, "partition + lift exceeded 10 minutes"
 
 

@@ -110,6 +110,18 @@ def test_smith_cross_check_refuses_fixed_walk(graph13, cyc):
     assert time.monotonic() - t0 < 60
 
 
+def test_smith_cross_check_names_open_translate(graph13, cyc, monkeypatch):
+    # a 2-cell whose boundary is one non-loop edge, not a cycle
+    psl = graph13.psl
+    path = EdgePath(0, [(o, psl.index[m], s) for o, m, s in FIXED_WALK])
+    edge = int(np.flatnonzero(graph13.edge_src != graph13.edge_tgt)[0])
+    chain = np.zeros(graph13.n_edges, dtype=np.int64)
+    chain[edge] = 1
+    monkeypatch.setattr(acyclic, "path_edge_vector", lambda graph, path: chain)
+    with pytest.raises(ArithmeticError, match="translated by 0 is not a cycle"):
+        acyclic.smith_cross_check(graph13, path, cyc)
+
+
 def test_certificate_json_shape(graph13):
     path = EdgePath(0, [])
     cert = acyclic.AcyclicityCertificate(

@@ -132,6 +132,9 @@ def test_hnf_rows_matches_sympy():
         w = hermite_normal_form(Matrix([r[::-1] for r in rows]).T)
         want = sorted(list(w[:, j])[::-1] for j in range(w.cols))
         assert sorted(module.hnf_rows(rows)) == want
+        # repeated rows and negated rows span the same lattice
+        padded = rows + [[-a for a in r] for r in rows] + rows[::-1]
+        assert sorted(module.hnf_rows(iter(padded))) == want
 
 
 def test_hnf_rows_marks_missing_pivots():
