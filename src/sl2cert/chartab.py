@@ -254,6 +254,19 @@ def eta_characters(q: int) -> list[Character]:
     return chars
 
 
+def eta_on_tori(q: int) -> Character:
+    """eta1 on the classes 1, z, a^l and b^m only, where eta1 and eta2 agree.
+
+    These are the values the degree sweep reads.  They are integers, so no
+    Gauss sum is built.
+    """
+    m = (q - 1) // 2
+    labels = [lab for lab in all_class_labels(q) if lab.kind in ("1", "z", "a", "b")]
+    vals = [m, -m] + [0] * (m - 1) + [(-1) ** (j + 1) for j in range(1, m + 1)]
+    shared = {v: _const(v) for v in set(vals)}      # Cyclo values are immutable
+    return _character(labels, "eta1", m, [shared[v] for v in vals])
+
+
 def subgroup_census(table: GroupTable, elements) -> Counter[ClassLabel]:
     """Class census of a subset of the SL table."""
     if table.labels is None:

@@ -302,7 +302,10 @@ def dixon_solve(a: np.ndarray, b: np.ndarray, p: int) -> list[Fraction] | None:
     P A = L U gives P A[:, pivots] = L U[:, pivots], held in lu[:, pivots].
     Returns the exact rational x, zero off the pivot columns and checked
     against the system, or None if no checked reconstruction appears within
-    `DIXON_MAX_DIGITS` lifting steps.  Each step updates the residual with
+    `DIXON_MAX_DIGITS` lifting steps.  The solution is reconstructed after
+    1, 2, 4, 8, ... steps (and once the residual vanishes), and the first
+    reconstruction that `_solves` accepts is returned: the square pivot
+    system has exactly one solution.  Each step updates the residual with
     one int64 product A x_digit: with x_digit < p < 2^30 and
     n max|A| < 2^32 every entry stays below 2^62.
     """
@@ -319,24 +322,21 @@ def dixon_solve(a: np.ndarray, b: np.ndarray, p: int) -> list[Fraction] | None:
     residual = np.array(b, dtype=np.int64)
     x_int = [0] * n
     pk = 1
-    previous = None
-    for step in range(DIXON_MAX_DIGITS):
+    for step in range(1, DIXON_MAX_DIGITS + 1):
         x_dig = _lu_solve(lu, residual % p, p)
         for i in np.flatnonzero(x_dig):
             x_int[i] += pk * int(x_dig[i])
         pk *= p
         # residual <- (residual - A x_dig) / p  (exact integer division)
         residual = (residual - a @ x_dig) // p
-        if step % 8 == 7 or not residual.any():
+        if step & (step - 1) == 0 or not residual.any():
             sol = [rational_reconstruct(x_int[i], pk) for i in range(n)]
-            # check only a reconstruction that the last lifting steps kept
-            if all(s is not None for s in sol):
-                if sol == previous and _solves(a, sol, b):
-                    x = [Fraction(0)] * m
-                    for j, s in zip(pivots, sol):
-                        x[j] = s
-                    return x
-                previous = sol
+            # the pivot-column solution is unique, so a checked one is it
+            if all(s is not None for s in sol) and _solves(a, sol, b):
+                x = [Fraction(0)] * m
+                for j, s in zip(pivots, sol):
+                    x[j] = s
+                return x
     return None
 
 

@@ -4,12 +4,17 @@ bound.
 
 The diagonalizers are float (complex128) witnesses with explicit
 tolerances; the intersection dimension is an exact count of exponent pairs.
+Each element's diagonalizer and the group's commutant basis are built and
+checked once per group, in a memo that lives as long as the group and is
+rebuilt when its blocks are replaced; a pair then costs one product and one
+commutation check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -60,17 +65,14 @@ def eigenprojectors(m: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def _range_basis(p: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+def _range_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the range of a projector.
 
     Modified Gram-Schmidt over the projector columns with largest-norm
-    pivoting; an optional rng pre-shuffles the columns (the result space is
-    the same either way).
+    pivoting.
     """
     rank = round(p.trace().real)
     cols = [p[:, i].copy() for i in range(p.shape[0])]
-    if rng is not None:
-        rng.shuffle(cols)
     basis: list[np.ndarray] = []
     while len(basis) < rank:
         norms = [np.linalg.norm(c) for c in cols]
@@ -84,11 +86,12 @@ def _range_basis(p: np.ndarray, rng: np.random.Generator | None = None) -> np.nd
     return np.array(basis).conj()
 
 
-def _commutant_basis(group: SmallGroup) -> list[np.ndarray]:
-    """E_st (x) I_d for every pair of blocks s, t sharing a rep_id: by Schur's
-    lemma the commutant of rho(G), once blocks sharing an id are checked equal
-    and the character norm (1/|G|) sum_g |tr rho(g)|^2 equal to sum mult_id^2
-    (so no block is reducible or equivalent to one with another id)."""
+def _commutant_basis(group: SmallGroup) -> np.ndarray:
+    """E_st (x) I_d, stacked (k, m, m), for every pair of blocks s, t sharing
+    a rep_id: by Schur's lemma the commutant of rho(G), once blocks sharing
+    an id are checked equal and the character norm (1/|G|) sum_g
+    |tr rho(g)|^2 equal to sum mult_id^2 (so no block is reducible or
+    equivalent to one with another id)."""
     first: dict[str, np.ndarray] = {}
     starts: dict[str, list[int]] = {}
     at = 0
@@ -109,12 +112,10 @@ def _commutant_basis(group: SmallGroup) -> list[np.ndarray]:
             x = np.zeros((group.m, group.m))
             x[s:s + d, t:t + d] = np.eye(d)
             basis.append(x)
-    return basis
+    return np.array(basis)
 
 
-def _block_diagonalizer(group: SmallGroup, g: int,
-                        rng: np.random.Generator | None = None
-                        ) -> tuple[np.ndarray, list[int]]:
+def _block_diagonalizer(group: SmallGroup, g: int) -> tuple[np.ndarray, list[int]]:
     """Unitary A with A rho(g) A^-1 = diag(zeta_n^{e_i}) and the exponents e,
     computed block by block with the same diagonalizer reused on identical
     blocks."""
@@ -125,7 +126,7 @@ def _block_diagonalizer(group: SmallGroup, g: int,
     at = 0
     for block in group.blocks:
         if block.rep_id not in per_rep:
-            spaces = [(j, _range_basis(p, rng))
+            spaces = [(j, _range_basis(p))
                       for j, p in eigenprojectors(block.matrices[g], n)]
             per_rep[block.rep_id] = (np.vstack([rows for _, rows in spaces]),
                                      [j for j, rows in spaces for _ in rows])
@@ -137,7 +138,37 @@ def _block_diagonalizer(group: SmallGroup, g: int,
     want = np.diag(np.exp(2j * np.pi * np.array(exps) / n))
     if np.abs(out @ group.rep(g) @ out.conj().T - want).max() > TOL:
         raise ToleranceError(f"A does not diagonalize rho({g}) to its exponents")
+    out.flags.writeable = False      # shared by every pair through the memo
     return out, exps
+
+
+class _Witnesses:
+    """A group's checked commutant basis and the checked diagonalizer of
+    each element asked for so far.  Holds the group's block list, not the
+    group, so the memo entry dies with its group."""
+
+    def __init__(self, group: SmallGroup):
+        self.blocks = group.blocks
+        self.commutant = _commutant_basis(group)
+        self.diagonalizers: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+    def diagonalizer(self, group: SmallGroup, g: int) -> tuple[np.ndarray, list[int]]:
+        if g not in self.diagonalizers:
+            self.diagonalizers[g] = _block_diagonalizer(group, g)
+        return self.diagonalizers[g]
+
+
+_WITNESSES: weakref.WeakKeyDictionary[SmallGroup, _Witnesses] = \
+    weakref.WeakKeyDictionary()
+
+
+def _witnesses(group: SmallGroup) -> _Witnesses:
+    """The group's memo entry, rebuilt when `group.blocks` was replaced.  A
+    build that raises stores nothing, so every later pair raises again."""
+    wit = _WITNESSES.get(group)
+    if wit is None or wit.blocks is not group.blocks:
+        wit = _WITNESSES[group] = _Witnesses(group)
+    return wit
 
 
 def lemma21_construct(group: SmallGroup, g1: int, g2: int,
@@ -148,14 +179,16 @@ def lemma21_construct(group: SmallGroup, g1: int, g2: int,
     dimension of the joint commutant of the two diagonalized images, the sum
     of squared multiplicities of their eigenvalue pairs, and bound =
     Fraction(m^2, k1 k2) with k_i the eigenvalue counts.  A violation raises.
+    A1 and A2 are read-only and shared with every other pair of the group.
+    `rng` does nothing: the witnesses depend on no seed.
     """
-    a1, e1 = _block_diagonalizer(group, g1, rng)
-    a2, e2 = _block_diagonalizer(group, g2, rng)
+    wit = _witnesses(group)
+    a1, e1 = wit.diagonalizer(group, g1)
+    a2, e2 = wit.diagonalizer(group, g2)
     # A1^-1 A2 must commute with the commutant of the whole image
     w = a1.conj().T @ a2
-    for x in _commutant_basis(group):
-        if np.abs(w @ x - x @ w).max() > TOL * 10:
-            raise ToleranceError("A1^-1 A2 does not commute with the commutant")
+    if np.abs(w @ wit.commutant - wit.commutant @ w).max() > TOL * 10:
+        raise ToleranceError("A1^-1 A2 does not commute with the commutant")
     inter = sum(c * c for c in Counter(zip(e1, e2)).values())
     bound = Fraction(group.m ** 2, len(set(e1)) * len(set(e2)))
     if inter < math.ceil(bound):

@@ -230,11 +230,13 @@ def degree_inequality_sweep(q_max: int = 200) -> list[CheckResult]:
     """Both strict inequalities for every valid prime q < q_max.
 
     The eigenvalue counts k1, k2 are recomputed from the character eta1 via
-    closed-form power labels, so no group enumeration is needed and large q
-    stay cheap.  Every comparison is made in integers and Fractions.
+    closed-form power labels, so no group enumeration is needed.  The edge
+    generators lie in the tori, so eta1 is needed only there, where its
+    values are integers (`chartab.eta_on_tori`) and no Gauss sum is built.
+    Every comparison is made in integers and Fractions.
     """
     def check(q: int) -> CheckResult:
-        eta1 = chartab.eta_characters(q)[0]
+        eta1 = chartab.eta_on_tori(q)
         p1, p3 = chartab.edge_generator_power_labels(q)
         m1 = chartab.multiplicities_from_power_labels(eta1, p1)
         m3 = chartab.multiplicities_from_power_labels(eta1, p3)

@@ -118,6 +118,20 @@ def test_eta1_unipotent_value(table13):
             - chartab._const(13)).is_zero()
 
 
+@pytest.mark.parametrize("q", [13, 29, 37, 53, 61])
+def test_eta_on_tori_matches_table(q):
+    # the degree sweep's Gauss-sum-free eta1 agrees with the table's eta1
+    # and eta2 on every label it holds, and holds every label the sweep reads
+    torus = chartab.eta_on_tori(q)
+    table = chartab.CharacterTable(q)
+    p1, p3 = chartab.edge_generator_power_labels(q)
+    assert set(p1) | set(p3) <= set(torus.values)
+    for name in ("eta1", "eta2"):
+        assert torus.degree == table[name].degree
+        for lab, v in torus.values.items():
+            assert v == table[name](lab), (name, str(lab))
+
+
 def test_inner_product_is_kronecker(table13):
     names = ["triv", "St", "eta1", "eta2", "xi1", "theta_1"]
     for i, a in enumerate(names):

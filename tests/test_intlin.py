@@ -282,6 +282,24 @@ def test_dixon_solve_rational_system():
     assert sol == [Fraction(1, 2), Fraction(-1, 6)]
 
 
+def test_dixon_solve_rejects_early_reconstructions(monkeypatch):
+    # numerators near 2*10^9 exceed sqrt(p/2) and sqrt(p^2/2), so the
+    # reconstructions after one and two lifting steps fail or are wrong
+    p = 1000003
+    a = np.array([[3, 1], [1, 2]])
+    want = [Fraction(1999999993, 5), Fraction(-999999979, 5)]
+    for k in (1, 2):
+        early = [intlin.rational_reconstruct(
+            x.numerator * pow(x.denominator, -1, p ** k), p ** k) for x in want]
+        assert early != want
+    checks = []
+    real = intlin._solves
+    monkeypatch.setattr(intlin, "_solves",
+                        lambda *args: checks.append(real(*args)) or checks[-1])
+    assert intlin.dixon_solve(a, np.array([10 ** 9, 7]), p) == want
+    assert checks == [False, False, True]     # after steps 1, 2 and 4
+
+
 def test_dixon_solve_singular_raises():
     a = np.array([[1, 2], [1, 2]])
     with pytest.raises(ArithmeticError, match="rank 1 < 2 mod 1000003"):

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2cert import smallgroups, unitary
+from sl2cert import smallgroups, unitary, verify
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +115,72 @@ def test_lemma21_identity_pair(q8):
 
 
 def test_lemma21_reseed_stability(sl23):
-    vals = set()
+    # the witnesses depend on no seed: rng= is accepted and does nothing
+    ref = unitary.lemma21_construct(sl23, 3, 17)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        _, _, inter, bound = unitary.lemma21_construct(sl23, 3, 17, rng=rng)
-        vals.add((inter, round(bound, 6)))
-    assert len(vals) == 1     # intersection dim independent of the seed
+        a1, a2, inter, bound = unitary.lemma21_construct(sl23, 3, 17, rng=rng)
+        assert np.array_equal(a1, ref[0]) and np.array_equal(a2, ref[1])
+        assert (inter, bound) == ref[2:]
+
+
+def test_diagonalizers_built_once_per_element(monkeypatch):
+    group = smallgroups.quaternion_group()
+    calls = []
+    real = unitary.eigenprojectors
+    monkeypatch.setattr(unitary, "eigenprojectors",
+                        lambda m, n: calls.append(n) or real(m, n))
+    for g1 in range(group.n):
+        for g2 in range(group.n):
+            unitary.lemma21_construct(group, g1, g2)
+    assert len(calls) <= group.n * len({b.rep_id for b in group.blocks})
+
+
+def test_memo_dies_with_its_group():
+    group = smallgroups.quaternion_group()
+    unitary.lemma21_construct(group, 1, 2)
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_rebuilt_when_blocks_replaced():
+    group = smallgroups.quaternion_group()
+    unitary.lemma21_construct(group, 1, 2)
+    group.blocks = _relabelled_q8({"chi_j": "chi_i"}).blocks
+    with pytest.raises(unitary.ToleranceError):
+        unitary.lemma21_construct(group, 1, 2)
+
+
+# sha256 of the 848 lines "{group} {g1} {g2} {inter} {bound}" over every
+# ordered pair of the four test groups, joined by newlines
+LEMMA21_DIGEST = \
+    "f4c60b8546f66b11b1d68985090f81af4daefb856aaa77b4fcd98ac92fadbfe0"
+# sha256 of the lines "{name} {passed} {detail}" of degree_inequality_sweep(200)
+SWEEP_DIGEST = \
+    "4bb86a81d0c49011506279a77c26be2da49c04fcd7f340372f874459b550bb23"
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_lemma21_pairs_are_pinned():
+    lines = []
+    for group in smallgroups.all_test_groups():
+        for g1 in range(group.n):
+            for g2 in range(group.n):
+                _, _, inter, bound = unitary.lemma21_construct(group, g1, g2)
+                lines.append(f"{group.name} {g1} {g2} {inter} {bound}")
+    assert len(lines) == 848
+    assert _sha256(lines) == LEMMA21_DIGEST
+
+
+def test_degree_sweep_is_pinned():
+    results = verify.degree_inequality_sweep(200)
+    assert _sha256(f"{r.name} {r.passed} {r.detail}" for r in results) \
+        == SWEEP_DIGEST
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
