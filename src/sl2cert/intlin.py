@@ -1,30 +1,35 @@
 """Exact integer and modular linear algebra helpers.
 
 Everything here is deterministic: prime streams are generated by scanning
-downwards from a fixed start, eliminations use first-nonzero pivoting, and
-all certified results (determinants, solution vectors, inverses) are
-reconstructed exactly and never trusted to floating point.
+downwards from a fixed start, eliminations pick their pivots by fixed
+rules, and all certified results (determinants, solution vectors,
+inverses) are reconstructed exactly and never trusted to floating point.
 
-Every elimination modulo a prime is one kernel, the panel LU `lu_mod_p`:
-`det_mod_p` reads the determinant off its factors, pivot-column selection
-in `module` reads its pivot columns, `integer_inverse` solves with its
-factors (`_lu_solve`), and `dixon_solve` solves with the pivot-column
-factors of its one LU of the wide system.
+Every dense elimination modulo a prime is one kernel, the panel LU
+`lu_mod_p` with first-nonzero pivoting: `det_mod_p` reads the determinant
+off its factors, pivot-column selection in `module` reads its pivot
+columns, and `integer_inverse` solves with its factors (`_lu_solve`).
 
-`det_crt` first eliminates over Z (`unit_pivot_reduce`): for each leading
-column in turn it takes the first +-1 entry in row order as pivot and
-clears the column below.  A +-1 pivot divides every entry, so the step is
-exact over Z, and after k steps the matrix is block upper triangular with
-+-1 on the first k diagonal entries; hence det(A) = sign * det(S), with
-sign collecting the pivots and row swaps and S the trailing Schur block.
-The phase stops at the first column without a +-1 entry, or before it
-would write an entry of absolute value 2^31 or more: with every entry
-below 2^31, each product and difference fits in int64.  Only S is then
-reduced modulo each prime.  The primes still follow from the Hadamard
-bound of A, so the prime list does not depend on how far the phase got.
-The eliminations update only the trailing block m[rows, col:] of the
-rows with a nonzero multiplier; the pivot row is zero left of col, so
-the other entries would not change.
+`det_crt` and `dixon_solve` first eliminate over Z, once per matrix, by
+one +-1 phase (`_unit_pivots`), which removes most of a sparse +-1 system
+before the dense LU: columns are taken in order, and in each the pivot is
+the +-1 entry whose row has the fewest nonzeros in the remaining columns
+(the first such row on ties), which keeps the fill-in small.  A +-1
+pivot divides every entry, so each step is exact over Z and stays exact
+modulo every prime.  A column that is zero in every remaining row gets no
+pivot.  The phase stops at the first column with nonzeros but no +-1
+entry, or before it would write an entry of absolute value 2^31 or more:
+with every entry below 2^31, each product and difference fits in int64.
+Row swaps do not change which columns get pivots, so the pivot columns
+are those of `lu_mod_p` on the whole matrix.
+
+`det_crt` takes det(A) = sign * det(S) from the phase (`unit_pivot_reduce`),
+S the trailing Schur block, and reduces only S modulo each prime; the
+primes still follow from the Hadamard bound of A, so the prime list does
+not depend on how far the phase got.  `dixon_solve` factors its wide
+system once (`pivot_lu_mod_p`): the phase's multipliers and row swaps,
+then `lu_mod_p` of the trailing block, merged into the factors of the
+pivot-column subsystem.
 """
 
 from __future__ import annotations
@@ -127,10 +132,15 @@ def _sub_matmul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray,
     """c - a @ b mod p, as float64 residues, for residues below p < 2^30
     and at most _PANEL columns of a: one exact float64 product per 16-bit
     half of b, each entry a sum of at most _PANEL products below 2^46.  The
-    high half is reduced before its shift, so the sum stays below 2^52."""
+    high half is reduced before its shift, so the sum stays below 2^52.
+    The sum is built in place, so at most two arrays of the shape of c are
+    live besides c."""
     a = np.asarray(a, dtype=np.float64)
-    high = _mod_float(_exact_matmul(a, b >> 16), p)
-    return _mod_float(c - _exact_matmul(a, b & 0xFFFF) - 65536.0 * high, p)
+    out = _mod_float(_exact_matmul(a, b >> 16), p)
+    out *= 65536.0
+    out += _exact_matmul(a, b & 0xFFFF)
+    np.subtract(c, out, out=out)
+    return _mod_float(out, p)
 
 
 def lu_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -149,7 +159,8 @@ def lu_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]
     kept in float64, where every residue below 2^30 is exact, and updated
     by exact float64 products (`_sub_matmul_mod`).
     """
-    m = np.mod(mat, p).astype(np.float64)
+    mat = np.asarray(mat)
+    m = np.mod(mat, p, out=np.empty(mat.shape))   # int64 residues, cast per chunk
     rows, cols = m.shape
     perm = np.arange(rows)
     pivots: list[int] = []
@@ -198,16 +209,22 @@ def det_mod_p(mat: np.ndarray, p: int) -> int:
     lu, perm, pivots = lu_mod_p(mat, p)
     if len(pivots) < lu.shape[0]:
         return 0
-    det = 1
+    det = _perm_sign(perm)
+    for v in lu.diagonal():
+        det = det * int(v) % p
+    return det % p
+
+
+def _perm_sign(perm: np.ndarray) -> int:
+    """The sign of a permutation, given as an index array."""
+    sign = 1
     perm = perm.tolist()
     for i in range(len(perm)):
         while perm[i] != i:             # each swap puts one row in place
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
-            det = -det
-    for v in lu.diagonal():
-        det = det * int(v) % p
-    return det % p
+            sign = -sign
+    return sign
 
 
 def _max_abs(m: np.ndarray) -> int:
@@ -235,44 +252,97 @@ UNIT_PIVOT_LIMIT = 1 << 31
 DIXON_MAX_DIGITS = 4000
 
 
-def unit_pivot_reduce(mat: np.ndarray) -> tuple[int, np.ndarray]:
-    """Eliminate over Z with +-1 pivots while entries stay below 2^31.
+def _unit_pivots(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """The +-1 phase over Z (see the module docstring), in place on the
+    int64 array m.
 
-    Returns (sign, S) with det(mat) = sign * det(S), S the Schur complement
-    of the eliminated leading columns.
+    Returns (perm, pivots, col): row i of m is row perm[i] of the input,
+    pivots lists the eliminated columns, one per leading row, and col is
+    the column the phase stopped at.  m is left in the layout of
+    `lu_mod_p`: the pivot rows hold U, and below pivot row i column
+    pivots[i] holds the multipliers of L, exact integers; rows len(pivots)
+    on are the Schur complement in columns col on.  An input entry of
+    absolute value 2^31 or more stops the phase before it starts.
     """
-    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    perm = np.arange(rows)
+    pivots: list[int] = []
     if _max_abs(m) >= UNIT_PIVOT_LIMIT:
-        return 1, m
-    sign = 1
-    col = 0
-    while col < m.shape[0]:
-        units = np.flatnonzero(np.abs(m[col:, col]) == 1)
+        return perm, pivots, 0
+    r = col = 0
+    while r < rows and col < cols:
+        nz = r + np.flatnonzero(m[r:, col])
+        if not nz.size:
+            col += 1                    # zero column: no pivot
+            continue
+        units = nz[np.abs(m[nz, col]) == 1]
         if not units.size:
             break
-        piv = col + int(units[0])
-        rows = np.flatnonzero(m[col:, col])
-        rows = col + rows[rows != piv - col]
-        if rows.size:
-            # |entries| < 2^31, so every product and difference fits in int64
-            factors = m[rows, col] * m[piv, col]
-            block = m[rows, col:] - factors[:, None] * m[piv, col:]
+        # the sparsest +-1 row in the remaining columns, the first on ties
+        piv = int(units[np.argmin(np.count_nonzero(m[units, col:], axis=1))])
+        below = nz[nz != piv]
+        if below.size:
+            # the pivot row is zero left of col: update its nonzero columns
+            span = col + 1 + np.flatnonzero(m[piv, col + 1:])
+            factors = m[below, col] * m[piv, col]
+            block = m[np.ix_(below, span)] - factors[:, None] * m[piv, span]
             if _max_abs(block) >= UNIT_PIVOT_LIMIT:
                 break
-            m[rows, col:] = block
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            sign = -sign
-        sign *= int(m[col, col])
+            m[np.ix_(below, span)] = block
+            m[below, col] = factors     # the multipliers, column r of L
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+            perm[[r, piv]] = perm[[piv, r]]
+        pivots.append(col)
+        r += 1
         col += 1
-    return sign, m[col:, col:].copy()
+    return perm, pivots, col
+
+
+def unit_pivot_reduce(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """det(mat) = sign * det(S) for a square integer matrix, from the +-1
+    phase (`_unit_pivots`), S the Schur complement of the eliminated
+    leading columns.  A column without a pivot makes mat singular; then
+    sign is 0 and S is empty.
+    """
+    m = np.array(mat, dtype=np.int64)
+    perm, pivots, col = _unit_pivots(m)
+    r = len(pivots)
+    if col > r:
+        return 0, m[:0, :0].copy()
+    diag = m[np.arange(r), pivots]
+    sign = _perm_sign(perm) * (-1) ** int(np.count_nonzero(diag < 0))
+    return sign, m[r:, r:].copy()
+
+
+def pivot_lu_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """P A[:, pivots] = L U modulo p (p < 2^30) for an integer matrix A.
+
+    The +-1 phase (`_unit_pivots`) runs first over Z; `lu_mod_p` then
+    factors only the trailing block it leaves, and its row swaps are
+    applied to the phase's multipliers.  Returns (lu, perm, pivots) with
+    pivots and perm as from `lu_mod_p` (same pivot columns, possibly other
+    row swaps) and lu the pivot columns of that layout, float64 residues:
+    U on and above the diagonal and L's multipliers below it.
+    """
+    m = np.array(mat, dtype=np.int64)
+    perm, pivots, col = _unit_pivots(m)
+    r = len(pivots)
+    trail, perm2, piv2 = lu_mod_p(m[r:, col:], p)
+    pivots += [col + j for j in piv2]
+    perm[r:] = perm[r:][perm2]
+    lu = np.empty((m.shape[0], len(pivots)))
+    np.mod(m[:r, pivots], p, out=lu[:r])
+    np.mod(m[r:, pivots[:r]][perm2], p, out=lu[r:, :r])
+    lu[r:, r:] = trail[:, piv2]
+    return lu, perm, pivots
 
 
 def det_crt(mat: np.ndarray) -> tuple[int, list[int], int]:
     """Exact determinant by multi-modular CRT under the Hadamard bound.
 
     The bound, and with it the primes, comes from `mat`; each prime then
-    reduces only the Schur block left by `unit_pivot_reduce`.
+    reduces only the Schur block left by the +-1 phase (`unit_pivot_reduce`).
     Returns (determinant, primes used, hadamard bound).
     """
     bound = hadamard_bound(mat)
@@ -296,10 +366,11 @@ def det_crt(mat: np.ndarray) -> tuple[int, list[int], int]:
 def dixon_solve(a: np.ndarray, b: np.ndarray, p: int) -> list[Fraction] | None:
     """Solve A x = b over Q by p-adic (Dixon) lifting.
 
-    A is a dense n x m integer matrix of rank n mod p (ArithmeticError,
-    naming the rank, otherwise) and b a length-n integer vector.  The one
-    `lu_mod_p` of A also factors its square subsystem on the pivot columns:
-    P A = L U gives P A[:, pivots] = L U[:, pivots], held in lu[:, pivots].
+    A is an n x m integer matrix of rank n mod p (ArithmeticError, naming
+    the rank, otherwise) and b a length-n integer vector.  A is factored
+    once (`pivot_lu_mod_p`): the +-1 phase over Z, then `lu_mod_p` of the
+    trailing block only, which gives the factors of the square subsystem
+    A[:, pivots].
     Returns the exact rational x, zero off the pivot columns and checked
     against the system, or None if no checked reconstruction appears within
     `DIXON_MAX_DIGITS` lifting steps.  The solution is reconstructed after
@@ -313,11 +384,11 @@ def dixon_solve(a: np.ndarray, b: np.ndarray, p: int) -> list[Fraction] | None:
     n, m = a.shape
     if n * max(_max_abs(a), 1) >= 1 << 32:
         raise OverflowError("entries too large for int64 lifting")
-    lu, perm, pivots = lu_mod_p(a, p)
+    lu = pivot_lu_mod_p(a, p)
+    pivots = lu[2]
     if len(pivots) < n:
         raise ArithmeticError(
             f"column span has rank {len(pivots)} < {n} mod {p}")
-    lu = (lu[:, pivots], perm, pivots)      # free the wide factors before slicing a
     a = a[:, pivots]
     residual = np.array(b, dtype=np.int64)
     x_int = [0] * n

@@ -346,10 +346,35 @@ class Block:
         d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
         det_h = lattice_det(list(pj.T), d_h)
         self.kappa = Fraction(det_h * d_lam, det_lam)
+        self._moves = None
 
     def x0(self, layer: "ModuleLayer", edge_vec: np.ndarray) -> np.ndarray:
         """Matrix of T_y in the rows eps.g_k and the coordinates J."""
         return self.egk @ edge_vec[layer.rows[:, self.J]]
+
+    def moves(self, layer: "ModuleLayer"):
+        """(bm, F, C), the parts of the repair's moves that do not depend on
+        the class y, built on the first call: bm the first k independent
+        rows of ex = (eps.g_k) x, F = ex[:, cols] bm[:, cols]^-1 over QQ, and
+        the n x k x m integer array C_j[i, :] = sum_x bm[i, x] fund[j, rows[x, J]].
+        """
+        if self._moves is None:
+            k, m = self.k, self.m
+            ex = np.array([group_product(layer.graph.psl, self.egk[i], layer.x)
+                           for i in range(m)])
+            idx = lu_mod_p(ex.T, _PRIME)[2]
+            if len(idx) != k:
+                raise RepairFailed(f"block {self.name}: x has rank {len(idx)}, not {k}")
+            bm = ex[idx]
+            cols = lu_mod_p(bm, _PRIME)[2]
+            binv = DomainMatrix.from_list(bm[:, cols].tolist(), QQ).inv()
+            f = DomainMatrix.from_list(ex[:, cols].tolist(), QQ) * binv
+            call = np.empty((layer.n, k, m), dtype=np.int64)
+            for i in range(k):
+                call[:, i, :] = _exact_matmul(layer.fund_f,
+                                              _scatter(layer, self.J, bm[i]))
+            self._moves = bm, f, call
+        return self._moves
 
     def det(self, layer: "ModuleLayer", edge_vec: np.ndarray) -> int:
         x0 = DomainMatrix.from_list(self.x0(layer, edge_vec).tolist(), ZZ)
@@ -558,23 +583,11 @@ class RepairFailed(Exception):
 def _block_moves(layer: "ModuleLayer", block: Block, vec_y: np.ndarray):
     """W_j (k x k) with nrd(y + t x.e_j) = nrd(y) det(I + t W_j), and W(h)."""
     k, m = block.k, block.m
-    ex = np.array([group_product(layer.graph.psl, block.egk[i], layer.x)
-                   for i in range(m)])
-    idx = lu_mod_p(ex.T, _PRIME)[2]
-    if len(idx) != k:
-        raise RepairFailed(f"block {block.name}: x has rank {len(idx)}, not {k}")
-    bm = ex[idx]
-    cols = lu_mod_p(bm, _PRIME)[2]
-    binv = DomainMatrix.from_list(bm[:, cols].tolist(), QQ).inv()
-    f = DomainMatrix.from_list(ex[:, cols].tolist(), QQ) * binv
+    bm, f, call = block.moves(layer)
     x0 = DomainMatrix.from_list(block.x0(layer, vec_y).tolist(), QQ)
     sf = x0.lu_solve(f)                                       # S^-1 F, m x k
     den, sfi = sf.clear_denoms(convert=True)
     den, sfi = den.element, np.array(sfi.to_list(), dtype=object)
-    # C_j[i, :] = sum_x bm[i, x] fund[j, rows[x, J]], all j at once
-    call = np.empty((layer.n, k, m), dtype=np.int64)
-    for i in range(k):
-        call[:, i, :] = _exact_matmul(layer.fund_f, _scatter(layer, block.J, bm[i]))
     wall = call.reshape(layer.n * k, m).astype(object).dot(sfi).reshape(layer.n, k, k)
 
     def w_of(edge_vec):

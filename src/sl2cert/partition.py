@@ -12,11 +12,13 @@ delta = r/2, giving the exact identity
     1 = (1 - z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}
 
 in Q[G^] (G^ = SL2(q)).  The solve is modular (Dixon lifting + rational
-reconstruction).  The assembly and both identities run on integer
-coefficient arrays over one common denominator per identity, with every
-group-ring product taken by `module.group_product`; the SL2(q) products take
-their permutations from `GroupTable.locate`, so no SL2(q) multiplication
-table is built.  Numerics never certify.
+reconstruction).  Its system is sparse with +-1 entries on short walks, so
+`intlin.dixon_solve` eliminates most of it over Z with +-1 pivots and runs
+the dense LU mod p only on the block left over.  The assembly and both
+identities run on integer coefficient arrays over one common denominator
+per identity, with every group-ring product taken by `module.group_product`;
+the SL2(q) products take their permutations from `GroupTable.locate`, so no
+SL2(q) multiplication table is built.  Numerics never certify.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def solve_partition_of_unity(graph: OrbitGraph,
     N(G_e) x~_e lies in the span of {N(G_e) g : G_e g a right coset}, since
     N(G_e) g depends on the right coset of g; the system has one column
     s_e N(G_e) g per right coset of a traversed orbit's stabilizer.  Dixon
-    lifting solves it on the pivot columns of one LU mod p
+    lifting solves it on the pivot columns of one factorization mod p
     (`intlin.dixon_solve`); the identity is then verified exactly.
     """
     psl = graph.psl

@@ -98,6 +98,9 @@ def test_det_crt_on_fixed_walk(graph13, cyc):
     ps = intlin.prime_stream()
     assert primes == [next(ps) for _ in range(35)]
     assert bound.bit_length() == 1043
+    # the sparsest +-1 pivots leave a Schur block of at most 171 x 171
+    sign, schur = intlin.unit_pivot_reduce(mat)
+    assert sign in (1, -1) and schur.shape[0] == schur.shape[1] <= 171
 
 
 def test_smith_cross_check_refuses_fixed_walk(graph13, cyc):

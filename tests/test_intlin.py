@@ -155,6 +155,46 @@ def _rebuild(lu, perm, pivots, p):
     return lower.dot(upper) % p
 
 
+def _front_end_cases():
+    """name -> (matrix, column the +-1 phase stops at): inputs on which
+    `pivot_lu_mod_p` eliminates over Z before its dense LU."""
+    rng = np.random.default_rng(9)
+    cases = {}
+    wide = _sparse_unit(rng, 40, 70, 0.06)
+    wide[:, 30:] += np.eye(40, dtype=np.int64)
+    cases["sparse-wide"] = (wide, None)
+    cases["sparse-tall"] = (_sparse_unit(rng, 70, 40, 0.1), 40)
+    # column 1 is twice column 0 and column 3 is zero: no pivot in either
+    skip = _sparse_unit(rng, 30, 50, 0.1)
+    skip[:, 20:] += np.eye(30, dtype=np.int64)
+    skip[:, 0] = 0
+    skip[[3, 8, 17], 0] = [1, -1, 1]
+    skip[:, 1] = 2 * skip[:, 0]
+    skip[:, 3] = 0
+    cases["zero-columns"] = (skip, None)
+    # column 5 has nonzeros but no +-1 entry: the dense LU takes the rest
+    stop = _sparse_unit(rng, 30, 45, 0.1)
+    stop[:, 15:] += np.eye(30, dtype=np.int64)
+    stop[:5, :5] = np.eye(5, dtype=np.int64)
+    stop[5:, :5] = 0
+    stop[:, 5] = 2 * rng.integers(-2, 3, size=30)
+    stop[6, 5] = 3
+    cases["no-unit-column"] = (stop, 5)
+    # column 0 eliminates; column 1 would write 5 - 2^30 (2^30 + 1)
+    big = 1 << 30
+    cases["stop-at-2^31"] = (np.array([[1, 2, -1, 0, 1], [1, 3, big, 1, 0],
+                                       [0, big, 5, 1, -1]]), 1)
+    # rank 36 of 40: four rows are sums of two others
+    deficient = _sparse_unit(rng, 40, 60, 0.08)
+    deficient[:, 20:] += np.eye(40, dtype=np.int64)
+    deficient[[10, 21, 32, 39]] = deficient[[1, 2, 3, 4]] + deficient[[5, 6, 7, 8]]
+    cases["rank-deficient"] = (deficient, None)
+    return cases
+
+
+FRONT_END_CASES = _front_end_cases()
+
+
 @pytest.mark.parametrize("p", [97, 1073741789])
 def test_lu_mod_p_pivots_match_reference(p):
     rng = np.random.default_rng(5)
@@ -162,6 +202,7 @@ def test_lu_mod_p_pivots_match_reference(p):
     mats += [_sparse_unit(rng, r, c) for r, c in ((7, 20), (25, 10), (40, 55))]
     mats.append(np.array([[0, 0, 2, 1], [0, 3, 1, 1], [0, 6, 2, 2]]))
     mats += _wide_and_tall()
+    mats += [mat for mat, _ in FRONT_END_CASES.values()]
     for mat in mats:
         lu, perm, pivots = intlin.lu_mod_p(mat, p)
         assert pivots == _rref_mod_p_reference(mat, p)[1]
@@ -172,12 +213,55 @@ def test_lu_mod_p_pivots_match_reference(p):
             # full row rank: lu[:, pivots] factors the pivot-column subsystem
             assert np.array_equal(_rebuild(lu[:, pivots], perm, range(n), p),
                                   np.mod(mat[perm][:, pivots], p).astype(object))
+        # the +-1 phase first: the same pivot columns, P A[:, pivots] = L U
+        lu, perm, front_pivots = intlin.pivot_lu_mod_p(mat, p)
+        assert front_pivots == pivots
+        assert np.array_equal(_rebuild(lu, perm, range(len(pivots)), p),
+                              np.mod(mat[perm][:, pivots], p).astype(object))
     # the zero column, the dependent column and two dependent rows
     pivots = intlin.lu_mod_p(_wide_and_tall()[0], p)[2]
     assert len(pivots) == 68 and 5 not in pivots and 40 not in pivots
     # rank-deficient 3x3: the second row is twice the first
     _, _, pivots = intlin.lu_mod_p(np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), p)
     assert pivots == [0, 1]
+
+
+@pytest.mark.parametrize("name", FRONT_END_CASES)
+def test_unit_pivots_stop_column(name):
+    mat, stop = FRONT_END_CASES[name]
+    _, pivots, col = intlin._unit_pivots(np.array(mat, dtype=np.int64))
+    assert pivots, "the +-1 phase eliminated nothing"
+    if stop is not None:
+        assert col == stop
+
+
+def test_front_end_zero_columns_and_rank():
+    mat = FRONT_END_CASES["zero-columns"][0]
+    _, phase_pivots, col = intlin._unit_pivots(mat.astype(np.int64))
+    # the phase passes the two columns without a pivot
+    assert phase_pivots[:3] == [0, 2, 4] and col > 4
+    pivots = intlin.pivot_lu_mod_p(mat, 1000003)[2]
+    assert 1 not in pivots and 3 not in pivots and len(pivots) == 30
+    pivots = intlin.pivot_lu_mod_p(FRONT_END_CASES["rank-deficient"][0], 1000003)[2]
+    assert len(pivots) == 36
+
+
+@pytest.mark.parametrize("name", FRONT_END_CASES)
+def test_dixon_solve_on_front_end_inputs(name):
+    mat = FRONT_END_CASES[name][0]
+    p = 1000003
+    n = mat.shape[0]
+    b = np.random.default_rng(10).integers(-5, 6, size=n)
+    pivots = _rref_mod_p_reference(mat, p)[1]
+    if len(pivots) < n:
+        with pytest.raises(ArithmeticError, match=f"rank {len(pivots)} < {n}"):
+            intlin.dixon_solve(mat, b, p)
+        return
+    sol = intlin.dixon_solve(mat, b, p)
+    assert all(x == 0 for j, x in enumerate(sol) if j not in pivots)
+    den = math.lcm(*(x.denominator for x in sol))
+    ax = np.asarray(mat).astype(object).dot([x * den for x in sol])
+    assert ax.tolist() == [den * int(v) for v in b]
 
 
 def test_integer_inverse_of_elementary_product():
@@ -233,6 +317,12 @@ def _crt_cases():
     # column 0 eliminates; column 1 would write 5 - 2^30 (2^30 + 1)
     big = 1 << 30
     cases["stop-at-2^31"] = (np.array([[1, 2, -1], [1, 3, big], [0, big, 5]]), 1)
+    # column 0's first +-1 lies in the densest row; pivoting on it leaves no
+    # +-1 in column 1, while the sparsest row (3) lets all four eliminate
+    cases["sparsest-pivot"] = (np.array([[-1, 2, 2, -1], [2, 1, 0, 1],
+                                         [2, 1, 1, 0], [1, 1, 1, 0]]), 4)
+    # column 1 is zero below the first pivot: singular, sign 0
+    cases["skipped-column"] = (np.array([[1, 2, 0], [2, 4, 1], [0, 0, 1]]), 3)
     return cases
 
 
