@@ -39,8 +39,10 @@ in sums and products of integer arrays that are checked to stay below 2^53
 Exact linear algebra.  Determinants, solves, inverses and characteristic
 polynomials over Z and Q use sympy's DomainMatrix (domains ZZ and QQ).  The
 lattice code stays here: Hermite bases (`hnf_rows`), covolumes modulo a
-bound (`lattice_det`) and the LLL reduction in the trace form of K, which
-sympy's LLL (standard inner product only) does not cover.
+bound (`lattice_det`: int64 generator rows, deduplicated, then one
+gcd-pivot array step per column modulo a multiple of the covolume) and the
+LLL reduction in the trace form of K, which sympy's LLL (standard inner
+product only) does not cover.
 """
 
 from __future__ import annotations
@@ -117,35 +119,38 @@ def hnf_rows(vectors) -> list[list[int] | None]:
 
 
 def lattice_det(gens, bound: int) -> int:
-    """Covolume of the full-rank lattice spanned by integer vectors.
+    """Covolume of the full-rank lattice spanned by the rows of an int64 array.
 
     `bound` must be a multiple of the covolume (the determinant of any full
-    sublattice); the elimination runs modulo it, which is valid because
-    bound * Z^m lies in the lattice.
+    sublattice): the elimination runs modulo it, valid as bound * Z^m then
+    lies in the lattice.  Zero rows are dropped, rows signed to a positive
+    first nonzero entry and repeated rows removed (`np.unique`); only the
+    distinct rows are reduced modulo `bound`, into an object array.  Column i
+    takes one step of the modular Hermite elimination (Cohen, Alg. 2.4.8):
+    rows are merged by `_xgcd` into the pivot bound * e_i (a merged row keeps
+    its cofactor combination) until its entry is g = gcd(bound, column i);
+    one outer-product update modulo `bound` clears column i in the other
+    rows; g multiplies the covolume.
     """
-    distinct: dict[tuple[int, ...], None] = {}
-    for g in gens:
-        key = tuple(int(v) % bound for v in g)
-        neg = tuple(-v % bound for v in key)
-        if any(key) and neg not in distinct:
-            distinct.setdefault(key)
-    m = len(gens[0])
-    if not distinct:
-        return bound ** m
-    a = np.array([list(k) for k in distinct], dtype=object)
+    a = np.asarray(gens, dtype=np.int64)
+    a = a[np.any(a != 0, axis=1)]
+    lead = a[np.arange(len(a)), np.argmax(a != 0, axis=1)]
+    a = np.unique(a * np.sign(lead)[:, None], axis=0).astype(object) % bound
     det = 1
-    for i in range(m):
-        pivot = np.zeros(m, dtype=object)
-        pivot[i] = bound
-        for r in np.flatnonzero(a[:, i] != 0):
-            p, v = pivot[i], a[r, i]
-            g, s, t = _xgcd(int(p), int(v))
-            new = (s * pivot + t * a[r]) % bound
-            a[r] = ((p // g) * a[r] - (v // g) * pivot) % bound
-            new[i] = g
-            pivot = new
-        det *= int(pivot[i])
-        a = a[np.any(a[:, i + 1:] != 0, axis=1)] if i + 1 < m else a[:0]
+    for _ in range(a.shape[1]):
+        g = math.gcd(bound, *a[:, 0])
+        pivot = np.zeros(a.shape[1], dtype=object)
+        pivot[0] = bound
+        for r in np.flatnonzero(a[:, 0]):
+            if pivot[0] == g:
+                break
+            p, v = pivot[0], a[r, 0]
+            h, s, t = _xgcd(p, v)
+            pivot, a[r] = ((s * pivot + t * a[r]) % bound,
+                           ((p // h) * a[r] - (v // h) * pivot) % bound)
+        a = (a[:, 1:] - np.outer(a[:, 0] // g, pivot[1:])) % bound
+        a = a[np.any(a != 0, axis=1)]
+        det *= g
     return det
 
 
@@ -344,7 +349,7 @@ class Block:
         det_lam = lattice_det(e[cols].T, d_lam)
         jk = lu_mod_p(pj, _PRIME)[2]
         d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
-        det_h = lattice_det(list(pj.T), d_h)
+        det_h = lattice_det(pj.T, d_h)
         self.kappa = Fraction(det_h * d_lam, det_lam)
         self._moves = None
 

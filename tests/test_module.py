@@ -143,11 +143,54 @@ def test_hnf_rows_marks_missing_pivots():
 
 
 def test_lattice_det_matches_sympy():
-    for rows in _random_lattices(60):
+    # the first lattice reaches its first column's gcd 1 at the third row only:
+    # with 6 | bound the pivot entry runs bound, 6, 2, 1
+    for rows in [[[6, 1], [10, 4], [15, 6]], *_random_lattices(60)]:
         covolume = abs(hermite_normal_form(Matrix(rows).T).det())
         k = len(rows[0])
         bound = abs(Matrix(rows).T.det()) if len(rows) == k else covolume * 6
         assert module.lattice_det(rows, bound) == covolume
+        # repeated, negated and bound-shifted rows span the same lattice mod bound
+        a = np.array(rows, dtype=np.int64)
+        shift = bound * np.resize(np.arange(-2, 3), a.shape)
+        padded = np.vstack([a, -a, a[::-1], a + shift, -a - shift, np.zeros_like(a)])
+        assert module.lattice_det(padded, bound) == covolume
+    # generators that vanish modulo the bound leave bound * Z^m
+    assert module.lattice_det(np.array([[5, -10], [0, 15], [0, 0]]), 5) == 25
+    assert module.lattice_det(np.array([[7, 0, -14]]), 7) == 7 ** 3
+    # one column
+    assert module.lattice_det(np.array([[4], [-6], [10], [-6]]), 12) == 2
+    assert module.lattice_det(np.array([[9], [0]]), 9) == 9
+    assert module.lattice_det(np.array([[0]]), 9) == 9
+
+
+# (bound, covolume) of each lattice_det call in one q = 13 layer build, in block
+# order: eps Lambda, then eps H1, per block
+COVOLUMES_13 = [
+    (1, 1), (6, 6),
+    (399854, 2366), (12794880, 188160),
+    (812017791, 62462907), (8302761792, 38438712),
+    (1113879, 1113879), (53466192, 8911032),
+    (12717236448436079650886676316227568571226432,
+     5082974589371108861200912382861364744),
+    (1265425896147160449802506432449849912735907840,
+     99126561689015025333588163372165065984),
+    (548924026716, 548924026716), (19761264961776, 3293544160296),
+]
+
+
+def test_lattice_covolumes_at_13_are_pinned(graph13, cyc, table13, monkeypatch):
+    # BLOCK_SETUP_13 pins only the ratio kappa of each block's two covolumes
+    calls = []
+    lattice_det = module.lattice_det
+
+    def recording(gens, bound):
+        out = lattice_det(gens, bound)
+        calls.append((bound, out))
+        return out
+    monkeypatch.setattr(module, "lattice_det", recording)
+    module.ModuleLayer(graph13, cyc, table13)
+    assert calls == COVOLUMES_13
 
 
 # characteristic polynomials (t^k first) of the eta that repair picks for the
