@@ -17,7 +17,6 @@ generator into a global one; no floating-point score takes part.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -188,7 +187,10 @@ class CycleSpace:
         root_vertex = 0
         path = EdgePath(root_vertex, steps)
         validate_path(graph, path)
-        assert np.array_equal(self.class_of(path_edge_vector(graph, path)), cls)
+        wrong = np.flatnonzero(self.class_of(path_edge_vector(graph, path)) != cls)
+        if wrong.size:
+            raise ArithmeticError(
+                f"the realized walk's class is wrong at coordinates {wrong.tolist()}")
         return path
 
 
@@ -205,17 +207,6 @@ class AcyclicityCertificate:
     def __post_init__(self):
         self.verdict = ("acyclic-over-Z" if self.determinant in (1, -1)
                         else "not-acyclic")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "determinant": str(self.determinant),
-            "hadamard_bound": str(self.hadamard_bound),
-            "primes": self.primes,
-            "b0": self.b0,
-            "b1": self.b1,
-            "path_length": len(self.path),
-            "verdict": self.verdict,
-        }, indent=2, sort_keys=True)
 
 
 def certify_acyclicity(graph: OrbitGraph, path: EdgePath,

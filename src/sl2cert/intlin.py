@@ -29,7 +29,8 @@ primes still follow from the Hadamard bound of A, so the prime list does
 not depend on how far the phase got.  `dixon_solve` factors its wide
 system once (`pivot_lu_mod_p`): the phase's multipliers and row swaps,
 then `lu_mod_p` of the trailing block, merged into the factors of the
-pivot-column subsystem.
+pivot-column subsystem.  `smith_normal_form` runs the same phase and
+hands only the block it leaves to sympy's exact invariant factors.
 """
 
 from __future__ import annotations
@@ -38,14 +39,16 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from sympy import isprime
+from sympy import ZZ, isprime
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 
-def prime_stream(start: int = (1 << 30) - 1, avoid: int = 1):
-    """Yield primes p <= start in decreasing order with p coprime to `avoid`."""
+def prime_stream(start: int = (1 << 30) - 1):
+    """Yield the primes p <= start in decreasing order."""
     p = start
     while p > 2:
-        if isprime(p) and avoid % p != 0:
+        if isprime(p):
             yield p
         p -= 2 if p % 2 else 1
 
@@ -491,100 +494,25 @@ def integer_inverse(mat: np.ndarray) -> np.ndarray:
 
 def smith_normal_form(rows: dict[int, dict[int, int]], n_rows: int,
                       n_cols: int) -> list[int]:
-    """Invariant factors of a sparse integer matrix.
+    """The nonzero invariant factors d_1 | d_2 | ... (positive) of an integer
+    matrix A, given sparse as `rows`: row index -> {col: value}.
 
-    `rows` maps row index -> {col: value}.  Uses greedy pivoting that prefers
-    +-1 pivots (keeps entries small on unimodular-equivalent inputs) and
-    Euclidean reduction otherwise.  Returns the list of nonzero invariant
-    factors d_1 | d_2 | ... (positive).
+    With every entry below 2^31 the +-1 phase (`_unit_pivots`) runs on a
+    dense int64 copy.  Its row operations are unimodular and leave the rows
+    after its r pivots zero left of the stop column col (m keeps L there);
+    column operations on the +-1 pivots clear the pivot rows without
+    touching those rows, so A ~ I_r + S with S = m[r:, col:], and the
+    factors are r ones and those of S.  S, or all of A when an entry is
+    larger, goes to sympy's exact `invariant_factors`.
+    The copy takes 8 n_rows n_cols bytes, 3 MB for the q = 13 vertex-edge
+    boundary, the one size at which the CLI runs the Smith cross-check.
     """
-    # Working sparse structure with column index for pivot search.
-    rows = {i: dict(r) for i, r in rows.items() if r}
-    cols: dict[int, set[int]] = {}
+    small = all(abs(v) < UNIT_PIVOT_LIMIT for r in rows.values() for v in r.values())
+    m = np.zeros((n_rows, n_cols), dtype=np.int64 if small else object)
     for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-
-    def set_entry(i: int, j: int, v: int) -> None:
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-        else:
-            if i in rows and j in rows[i]:
-                del rows[i][j]
-                if not rows[i]:
-                    del rows[i]
-            if j in cols and i in cols[j]:
-                cols[j].discard(i)
-                if not cols[j]:
-                    del cols[j]
-
-    diagonal: list[int] = []
-    limit = min(n_rows, n_cols)
-    while rows and len(diagonal) < limit:
-        # Pick pivot: smallest |value|, ties by fewest row+col nonzeros.
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                key = (abs(v), len(r) + len(cols[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key[0] == 1 and key[1] <= 4:
-                        break
-            if best is not None and best[0][0] == 1 and best[0][1] <= 4:
-                break
-        _, pi, pj = best
-        # Euclidean phase: clear the pivot row/column gcd-style.
-        while True:
-            pv = rows[pi][pj]
-            # Reduce column entries by the pivot row.
-            changed = False
-            for i in list(cols.get(pj, ())):
-                if i == pi:
-                    continue
-                v = rows[i][pj]
-                q = v // pv
-                if q:
-                    for j, w in list(rows[pi].items()):
-                        set_entry(i, j, rows.get(i, {}).get(j, 0) - q * w)
-                if rows.get(i, {}).get(pj, 0):
-                    # Remainder nonzero and smaller: swap pivot into this row.
-                    pi = i
-                    changed = True
-                    break
-            if changed:
-                continue
-            # Column is clear besides pivot; now the row.
-            pv = rows[pi][pj]
-            changed = False
-            for j in list(rows[pi].keys()):
-                if j == pj:
-                    continue
-                v = rows[pi][j]
-                q = v // pv
-                if q:
-                    # column operation: col_j -= q * col_pj
-                    for i in list(cols.get(pj, ())):
-                        set_entry(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][pj])
-                if rows.get(pi, {}).get(j, 0):
-                    pj = j
-                    changed = True
-                    break
-            if not changed:
-                break
-        pv = abs(rows[pi][pj])
-        # Remove pivot row/column.
-        for j in list(rows[pi].keys()):
-            set_entry(pi, j, 0)
-        for i in list(cols.get(pj, ())):
-            set_entry(i, pj, 0)
-        diagonal.append(pv)
-    # Fix divisibility chain.
-    diagonal.sort()
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            a, b = diagonal[i], diagonal[j]
-            g = math.gcd(a, b)
-            l = a // g * b
-            diagonal[i], diagonal[j] = g, l
-    return [d for d in diagonal if d != 0]
+        m[i, list(r)] = list(r.values())
+    pivots, col = _unit_pivots(m)[1:] if small else ([], 0)
+    rest = m[len(pivots):, col:]
+    factors = invariant_factors(DomainMatrix(
+        [[ZZ(int(v)) for v in row] for row in rest.tolist()], rest.shape, ZZ))
+    return [1] * len(pivots) + [abs(int(d)) for d in factors if d]

@@ -122,8 +122,8 @@ def _edge_orbits(q: int, sl: GroupTable,
 
     def add(name, src, tgt, stab):
         target = vstabs[tgt]
-        assert all(x in vstabs[src] for x in stab.elements), \
-            f"{name}: stabilizer not inside source {src}"
+        _require(all(x in vstabs[src] for x in stab.elements),
+                 f"{name}: stabilizer {stab.name} not inside source {src}")
         if all(x in target for x in stab.elements):
             twist = sl.identity
         else:
@@ -255,21 +255,31 @@ def build_graph(q: int, flavor: str, k: int = 0,
     return graph
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise GroupBuildError(message) unless ok; unlike assert, this check
+    stays under python -O."""
+    if not ok:
+        raise groups.GroupBuildError(message)
+
+
 def _check_invariants(graph: OrbitGraph) -> None:
     sl = graph.sl
-    for eo in graph.edge_orbits.values():
-        src = graph.vertex_stabs[eo.source]
-        assert all(x in src for x in eo.stabilizer.elements)
-        tgt = graph.vertex_stabs[eo.target]
-        for x in eo.stabilizer.elements:
-            assert sl.conj(x, eo.twist) in tgt
-        assert sl.z in eo.stabilizer
+    for name, eo in graph.edge_orbits.items():
+        src, tgt = graph.vertex_stabs[eo.source], graph.vertex_stabs[eo.target]
+        _require(all(x in src for x in eo.stabilizer.elements),
+                 f"{name}: stabilizer not inside source {eo.source}")
+        _require(all(sl.conj(x, eo.twist) in tgt for x in eo.stabilizer.elements),
+                 f"{name}: twist {eo.twist} does not conjugate the stabilizer "
+                 f"into target {eo.target}")
+        _require(sl.z in eo.stabilizer, f"{name}: stabilizer does not contain z")
     # expanded cell counts match index sums at the PSL level
     n = graph.psl.n
     total_v = sum(2 * n // len(graph.vertex_stabs[v]) for v in VERTEX_NAMES)
     total_e = sum(2 * n // len(eo.stabilizer)
                   for eo in graph.edge_orbits.values())
-    assert graph.n_vertices == total_v and graph.n_edges == total_e
+    _require((graph.n_vertices, graph.n_edges) == (total_v, total_e),
+             f"{graph.n_vertices} vertices and {graph.n_edges} edges expanded, "
+             f"{total_v} and {total_e} by the index sums")
 
 
 def homology_ranks(graph: OrbitGraph) -> tuple[int, int]:
@@ -340,6 +350,7 @@ def spanning_tree(graph: OrbitGraph) -> tuple[np.ndarray, np.ndarray, list[int]]
                 parent_edge[w] = e
                 in_tree[e] = True
                 order.append(w)
-    assert seen.all(), "graph is not connected"
+    _require(seen.all(), f"graph is not connected: vertex {int(np.argmin(seen))} "
+             "is not reached from vertex 0")
     non_tree = [e for e in range(n_e) if not in_tree[e]]
     return parent_edge, in_tree, non_tree

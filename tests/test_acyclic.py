@@ -1,4 +1,3 @@
-import json
 import time
 
 import numpy as np
@@ -125,13 +124,22 @@ def test_smith_cross_check_names_open_translate(graph13, cyc, monkeypatch):
         acyclic.smith_cross_check(graph13, path, cyc)
 
 
-def test_certificate_json_shape(graph13):
+def test_certificate_verdict():
     path = EdgePath(0, [])
-    cert = acyclic.AcyclicityCertificate(
-        path, b0=1, b1=1092, determinant=-1, hadamard_bound=10, primes=[7])
-    doc = json.loads(cert.to_json())
-    assert doc["verdict"] == "acyclic-over-Z"
-    assert doc["determinant"] == "-1"
-    cert2 = acyclic.AcyclicityCertificate(
-        path, b0=1, b1=1092, determinant=6, hadamard_bound=10, primes=[7])
-    assert cert2.verdict == "not-acyclic"
+    for det, verdict in ((-1, "acyclic-over-Z"), (1, "acyclic-over-Z"),
+                         (6, "not-acyclic")):
+        cert = acyclic.AcyclicityCertificate(
+            path, b0=1, b1=1092, determinant=det, hadamard_bound=10, primes=[7])
+        assert cert.verdict == verdict
+
+
+def test_vertex_edge_boundary_smith_form_13(graph13):
+    # the connected q = 13 graph: rank V - 1 with every invariant factor 1
+    rows = {}
+    for e, (s, t) in enumerate(zip(graph13.edge_src.tolist(),
+                                   graph13.edge_tgt.tolist())):
+        if s != t:
+            rows.setdefault(t, {})[e] = 1
+            rows.setdefault(s, {})[e] = -1
+    factors = intlin.smith_normal_form(rows, graph13.n_vertices, graph13.n_edges)
+    assert factors == [1] * 273

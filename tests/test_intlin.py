@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from sl2cert import intlin
 
@@ -15,11 +17,6 @@ def test_prime_stream_yields_distinct_primes():
     first = [next(ps) for _ in range(5)]
     assert len(set(first)) == 5
     assert all(p < 1 << 31 for p in first)
-
-
-def test_prime_stream_avoid():
-    p = next(intlin.prime_stream(avoid=(1 << 30) + 7))
-    assert ((1 << 30) + 7) % p != 0
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
@@ -417,21 +414,56 @@ def test_dixon_solve_wide_system_on_pivot_columns():
     assert ax.tolist() == [den * int(v) for v in b]
 
 
+def _dict_rows(mat):
+    return {i: {j: int(v) for j, v in enumerate(r) if v}
+            for i, r in enumerate(mat.tolist())}
+
+
+# each matrix's shape is its array's, so empty and zero rows or columns count
 @pytest.mark.parametrize("mat,want", [
     ([[2, 0], [0, 3]], [1, 6]),
     ([[1, 0], [0, 1]], [1, 1]),
     ([[2, 4], [6, 8]], [2, 4]),
+    # a zero row and a zero column ahead of the only +-1 entry
+    ([[0, 0, 0], [0, 1, 2], [0, 3, 4]], [1, 2]),
+    # one +-1 pivot, then a column with no +-1 entry
+    ([[1, 1, 0], [1, 3, 2]], [1, 2]),
+    # rank 2: the second row is twice the first
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 5]], [1, 2]),
+    ([[4, 6, 0, 10]], [2]),
+    ([[4], [6], [0]], [2]),
+    ([[0, 0], [0, 0]], []),
+    (np.zeros((0, 0), dtype=np.int64), []),
+    (np.zeros((0, 3), dtype=np.int64), []),
+    (np.zeros((2, 0), dtype=np.int64), []),
+    # beyond int64: the whole matrix goes to the exact fallback
+    (np.array([[2 ** 70, 3], [6, 9]], dtype=object), [1, 9 * 2 ** 70 - 18]),
 ])
 def test_smith_normal_form_small(mat, want):
-    rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(mat)}
-    assert intlin.smith_normal_form(rows, 2, 2) == want
+    mat = np.array(mat, dtype=object) if isinstance(mat, list) else mat
+    assert intlin.smith_normal_form(_dict_rows(mat), *mat.shape) == want
+
+
+def _sympy_invariant_factors(mat):
+    dm = DomainMatrix.from_list_sympy(*mat.shape, mat.tolist()).convert_to(
+        sympy.ZZ)
+    return [abs(int(d)) for d in invariant_factors(dm) if d]
 
 
 def test_smith_divisibility_chain():
-    rng = np.random.default_rng(3)
-    mat = rng.integers(-6, 7, size=(7, 9))
-    rows = {i: {j: int(v) for j, v in enumerate(r) if v}
-            for i, r in enumerate(mat)}
-    factors = intlin.smith_normal_form(rows, 7, 9)
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+        if seed % 2:
+            mat = (_sparse_unit(rng, rows, cols, 0.3)
+                   * rng.integers(1, 4, size=(rows, cols)))
+        else:
+            mat = rng.integers(-6, 7, size=(rows, cols))
+        if seed % 5 == 0:
+            mat *= 2                                    # no +-1 entry
+        if seed % 3 == 0:
+            mat[:, rng.integers(cols)] = 0              # a zero column
+        factors = intlin.smith_normal_form(_dict_rows(mat), rows, cols)
+        for a, b in zip(factors, factors[1:]):
+            assert b % a == 0
+        assert factors == _sympy_invariant_factors(mat)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +48,19 @@ def test_twist_containment(graph13):
         for s in eo.stabilizer.elements[:8]:
             assert s in src_stab
             assert sl.mul(sl.mul(sl.inv(g), s), g) in tgt_stab
+
+
+def test_broken_twist_is_named(graph13):
+    # eta3 needs a twist into the target B; the identity does not do, and
+    # the check must raise under python -O as well
+    graph = copy.copy(graph13)
+    eta3 = graph13.edge_orbits["eta3"]
+    assert eta3.twist != graph.sl.identity
+    graph.edge_orbits = {**graph13.edge_orbits,
+                         "eta3": dataclasses.replace(eta3, twist=graph.sl.identity)}
+    with pytest.raises(groups.GroupBuildError, match="eta3: twist"):
+        orbit_graph._check_invariants(graph)
+    orbit_graph._check_invariants(graph13)
 
 
 def test_homology_ranks_q13(graph13):
