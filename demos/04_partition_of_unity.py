@@ -5,15 +5,17 @@ the rational group algebra Q[PSL2(q)] with
 
     1 = sum_e  eps_e a_e N(G_e) x_e
 
-where N(G_e) is the norm element of the edge stabilizer.  The solve is an
-exact Dixon lift over a big prime; verification substitutes back in the
-1092-dimensional algebra, on integer coefficient arrays over one common
-denominator.
+where N(G_e) is the norm element of the edge stabilizer.  The x_e are read
+off one column of M^-1, for M the pairing matrix of the acyclicity
+certificate: the solution f of M f = e_1 (an exact Dixon lift over a big
+prime) gives x_e[h] = f(h^-1 b_e) / |G_e| for the base edge b_e of each
+orbit.  Verification substitutes back in the 1092-dimensional algebra, on
+integer coefficient arrays over one common denominator.
 
 The solution then lifts through SL2(q) -> PSL2(q): each x_e pulls back to
-half its least section lift, the defect r = 1 - sum satisfies z r = -r for
-the central involution z, and delta = r/2 completes an exact identity in
-the 2184-dimensional algebra.
+half its least section lift.  The central involution z lies in every lifted
+edge stabilizer, so the lifted sum is (1 + z)/2, and delta = (1 - z)/4
+completes an exact identity in the 2184-dimensional algebra.
 """
 
 import sys

@@ -48,14 +48,6 @@ class EdgePath:
     def dumps(self) -> str:
         return "\n".join(f"{orbit} {a} {sign}" for orbit, a, sign in self.steps)
 
-    @staticmethod
-    def parse(text: str, base_vertex: int) -> "EdgePath":
-        steps = []
-        for line in text.strip().splitlines():
-            orbit, a, sign = line.split()
-            steps.append((orbit, int(a), int(sign)))
-        return EdgePath(base_vertex, steps)
-
 
 def validate_path(graph: OrbitGraph, path: EdgePath) -> None:
     """Check the path is a connected closed walk at its base vertex."""

@@ -150,14 +150,6 @@ class CharacterTable:
         return all(ch.values[ClassLabel("1")].as_int() == ch.degree
                    for ch in self.characters)
 
-    def dumps(self) -> str:
-        """One line per character: name, then serialized class values."""
-        lines = ["# classes: " + " ".join(str(l) for l in self.labels)]
-        for ch in self.characters:
-            vals = "\t".join(ch.values[lab].serialize() for lab in self.labels)
-            lines.append(f"{ch.name}\t{vals}")
-        return "\n".join(lines)
-
 
 @dataclass
 class _Family:

@@ -75,7 +75,8 @@ def _reduction_rows(n: int) -> list[tuple[int, ...]]:
     """Row e - phi(n) gives the canonical coordinates of zeta_n^e, e in [phi, n)."""
     phi = totient(n)
     cyc = cyclotomic_poly(n)
-    assert len(cyc) == phi + 1 and cyc[-1] == 1
+    if len(cyc) != phi + 1 or cyc[-1] != 1:
+        raise ArithmeticError(f"Phi_{n} is not monic of degree phi({n}) = {phi}")
     rows: list[list[int]] = []
     first = [-c for c in cyc[:phi]]
     rows.append(first)
@@ -215,7 +216,7 @@ class Cyclo:
         """Complex conjugation zeta -> zeta^{-1}."""
         return Cyclo(self.n, {(-e) % self.n: v for e, v in self.coeffs.items()})
 
-    # -- predicates / export ------------------------------------------------
+    # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.reduce().coeffs
@@ -248,27 +249,6 @@ class Cyclo:
         if r.denominator != 1:
             raise NotRational(f"not an integer: {r}")
         return r.numerator
-
-    def serialize(self) -> str:
-        """Exact text form `N:c0/d0,c1/d1,...` over the canonical basis."""
-        self.reduce()
-        phi = totient(self.n)
-        parts = []
-        for e in range(phi):
-            v = self.coeffs.get(e, Fraction(0))
-            parts.append(f"{v.numerator}/{v.denominator}")
-        return f"{self.n}:" + ",".join(parts)
-
-    @staticmethod
-    def parse(text: str) -> "Cyclo":
-        head, _, body = text.partition(":")
-        n = int(head)
-        coeffs = {}
-        if body:
-            for e, part in enumerate(body.split(",")):
-                num, _, den = part.partition("/")
-                coeffs[e] = Fraction(int(num), int(den or 1))
-        return Cyclo(n, coeffs, _reduced=True)
 
     def __repr__(self) -> str:
         self.reduce()

@@ -542,7 +542,9 @@ class PSLProjection:
     """The projection pi: SL2(q) -> PSL2(q) with a least-encoding section."""
 
     def __init__(self, sl: GroupTable, psl: GroupTable):
-        assert sl.flavor == "SL" and psl.flavor == "PSL" and sl.q == psl.q
+        if (sl.flavor, psl.flavor, sl.q) != ("SL", "PSL", psl.q):
+            raise ValueError(f"PSLProjection needs SL2(q) and PSL2(q) tables, got "
+                             f"{sl.flavor}2({sl.q}) and {psl.flavor}2({psl.q})")
         self.sl = sl
         self.psl = psl
         self.proj = psl.locate(sl.matrices()).astype(np.int32)
@@ -554,12 +556,3 @@ class PSLProjection:
     def lift(self, psl_idx: int) -> int:
         """Least-encoding SL representative of a PSL element."""
         return int(self.section[psl_idx])
-
-
-# -- text dumps (external interface) --------------------------------------------
-
-
-def dump_group(table: GroupTable) -> str:
-    """Text lines `index a b c d` for every element."""
-    return "\n".join(f"{i} {m[0]} {m[1]} {m[2]} {m[3]}"
-                     for i, m in enumerate(table.elements))

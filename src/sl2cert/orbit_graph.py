@@ -88,11 +88,6 @@ class OrbitGraph:
     def edge_of(self, orbit: str, g: int) -> int:
         return self.edge_offset[orbit] + int(self.edge_coset[orbit][g])
 
-    def translate_edge(self, g: int, edge: int) -> int:
-        """Image of an expanded edge under left translation by g (PSL index)."""
-        orbit, rep = self.edge_rep[edge]
-        return self.edge_of(orbit, self.psl.mul(g, rep))
-
     def dumps(self) -> str:
         lines = []
         for v, (orbit, rep) in enumerate(self.vertex_rep):

@@ -1,24 +1,30 @@
 """Group-algebra partition of unity along an attaching path, and its lift
 through the central extension.
 
-Given a certified closed path xi = (a_1 e_1^{eps_1}, ..., a_n e_n^{eps_n}),
-solve for elements x~_e of Q[G] with
+Given a certified closed path xi = (a_1 e_1^{eps_1}, ..., a_n e_n^{eps_n})
+with edge chain y, solve for elements x~_e of Q[G] with
 
     1 = sum_i eps_i a_i N(G_{e_i}) x~_{e_i}        (G = PSL2(q))
 
-and lift with x_e = x~_e / 2 (any section), r = 1 - sum eps_i a^_i N(G^_e) x_e,
-delta = r/2, giving the exact identity
+from the pairing matrix M of the acyclicity certificate (row g = class of
+g.y).  Let f be the edge vector with M f = e_1 on the non-tree edges and
+zero on the tree edges.  Then phi(c) = sum_h f(h^-1 c) h is a G-map from
+edge chains to Q[G] with phi(y)[h] = (M f)[h^-1], so phi(y) = 1.  The
+stabilizer K_e of the base edge b_e fixes it, so x~_e = phi(b_e) / |K_e|
+has N(K_e) x~_e = phi(b_e), and the sum over the steps is phi(y) = 1.
+
+The lift is x_e = x~_e / 2 (any section) and delta = (1 - z)/4, with the
+exact identity
 
     1 = (1 - z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}
 
-in Q[G^] (G^ = SL2(q)).  The solve is modular (Dixon lifting + rational
-reconstruction).  Its system is sparse with +-1 entries on short walks, so
-`intlin.dixon_solve` eliminates most of it over Z with +-1 pivots and runs
-the dense LU mod p only on the block left over.  The assembly and both
-identities run on integer coefficient arrays over one common denominator
-per identity, with every group-ring product taken by `module.group_product`;
-the SL2(q) products take their permutations from `GroupTable.locate`, so no
-SL2(q) multiplication table is built.  Numerics never certify.
+in Q[G^] (G^ = SL2(q)): z lies in every lifted stabilizer, so the lifted
+sum is fixed by z and projects to 1, hence equals (1 + z)/2.  The solve is
+Dixon lifting (`intlin.dixon_solve`).  Both identities are checked exactly
+on integer coefficient arrays over one common denominator, with every
+group-ring product taken by `module.group_product`; the SL2(q) products
+take their permutations from `GroupTable.locate`, so no SL2(q)
+multiplication table is built.  Numerics never certify.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlin, module
-from .acyclic import EdgePath
+from .acyclic import CycleSpace, EdgePath, path_edge_vector
 from .groups import GroupTable
 from .orbit_graph import OrbitGraph
 
@@ -49,20 +55,9 @@ class GroupAlgElt:
         self.table = table
         self.coeffs = {i: c for i, c in (coeffs or {}).items() if c != 0}
 
-    def __eq__(self, other) -> bool:
-        return self.table is other.table and self.coeffs == other.coeffs
-
     def dumps(self) -> str:
         return "\n".join(f"{g} {c.numerator}/{c.denominator}"
                          for g, c in sorted(self.coeffs.items()))
-
-    @classmethod
-    def parse(cls, table: GroupTable, text: str) -> "GroupAlgElt":
-        coeffs = {}
-        for line in text.strip().splitlines():
-            g, frac = line.split()
-            coeffs[int(g)] = Fraction(frac)
-        return cls(table, coeffs)
 
 
 def _stabilizer_psl(graph: OrbitGraph, orbit: str) -> list[int]:
@@ -109,58 +104,34 @@ def solve_partition_of_unity(graph: OrbitGraph,
                              path: EdgePath) -> dict[str, GroupAlgElt]:
     """Exact x~_e with 1 = sum_i eps_i a_i N(G_{e_i}) x~_{e_i} in Q[G].
 
-    Group the steps per orbit into s_e = sum_i eps_i a_i.  The unknown
-    N(G_e) x~_e lies in the span of {N(G_e) g : G_e g a right coset}, since
-    N(G_e) g depends on the right coset of g; the system has one column
-    s_e N(G_e) g per right coset of a traversed orbit's stabilizer.  Dixon
-    lifting solves it on the pivot columns of one factorization mod p
-    (`intlin.dixon_solve`); the identity is then verified exactly.
+    Solve M f = e_1 on the path's pairing matrix M (`CycleSpace`) by Dixon
+    lifting; f lives on the non-tree edges and is zero on the tree edges.
+    Each traversed orbit reads x~_e[h] = f(h^-1 b_e) / |K_e| off f, with
+    b_e its base edge and K_e = G_e its stabilizer (see the module
+    docstring).  M f = e_1 has one solution when M is nonsingular, and
+    none otherwise (Inconsistent); the identity is then verified exactly.
     """
     psl = graph.psl
-    n = psl.n
-    psl.build_cayley()
-    mul, inv = psl._cayley, psl._inv
-    s_by_orbit = _step_sums(path, n)
-
-    blocks: list[np.ndarray] = []
-    col_meta: list[tuple[str, int]] = []     # (orbit, right coset rep)
-    for orbit, s_e in s_by_orbit.items():
-        stab = _stabilizer_psl(graph, orbit)
-        u = module.group_product(psl, s_e, _indicator(n, stab))    # s_e N(K)
-        covered = np.zeros(n, dtype=bool)
-        reps = []
-        for g in range(n):
-            if not covered[g]:
-                reps.append(g)
-                covered[mul[stab, g]] = True
-        # column for the coset K g: (u g)(z) = u(z g^-1)
-        cols = u[mul[:, inv[reps]]]
-        keep = cols.any(axis=0)
-        blocks.append(cols[:, keep])
-        col_meta += [(orbit, r) for r, k in zip(reps, keep) if k]
-
-    b = np.zeros(n, dtype=np.int64)
-    b[psl.identity] = 1
+    cyc = CycleSpace(graph)
+    mat = cyc.pairing_matrix(path_edge_vector(graph, path))
+    b = _indicator(psl.n, [psl.identity])
     p = next(intlin.prime_stream(start=(1 << 30) - 105))
-    a = np.concatenate(blocks, axis=1)
-    del blocks                  # one copy of the wide system through the LU
     try:
-        sol = intlin.dixon_solve(a, b, p)
+        f = intlin.dixon_solve(mat, b, p)
     except ArithmeticError as exc:
         raise Inconsistent(str(exc)) from exc
-    if sol is None:
+    if f is None:
         raise Inconsistent("p-adic lifting failed to reconstruct a solution")
 
-    # assemble x~_e = N(K_e) (sum_c u_c rep_c) / |K_e| over one denominator
-    den = math.lcm(*(u_c.denominator for u_c in sol))
-    parts = {orbit: np.zeros(n, dtype=object) for orbit in s_by_orbit}
-    for (orbit, rep), u_c in zip(col_meta, sol):
-        parts[orbit][rep] = u_c.numerator * (den // u_c.denominator)
+    den = math.lcm(*(c.denominator for c in f))
+    f_num = np.zeros(graph.n_edges, dtype=object)
+    f_num[cyc.non_tree] = [c.numerator * (den // c.denominator) for c in f]
     solution: dict[str, GroupAlgElt] = {}
-    for orbit, v in parts.items():
-        stab = _stabilizer_psl(graph, orbit)
-        x_num = module.group_product(psl, _indicator(n, stab), v)
-        solution[orbit] = _element(psl, x_num, den * len(stab))
+    for orbit in dict.fromkeys(orbit for orbit, _, _ in path.steps):
+        base = graph.edge_of(orbit, psl.identity)
+        order = len(_stabilizer_psl(graph, orbit))
+        solution[orbit] = _element(psl, f_num[cyc.trans[cyc.inv, base]],
+                                   den * order)
     verify_partition(graph, path, solution)
     return solution
 
@@ -180,11 +151,12 @@ def verify_partition(graph: OrbitGraph, path: EdgePath,
 def lift_partition(graph: OrbitGraph, path: EdgePath,
                    solution: dict[str, GroupAlgElt]
                    ) -> tuple[dict[str, GroupAlgElt], GroupAlgElt]:
-    """Lift to Q[SL2(q)]: x_e = lift(x~_e)/2 and delta with the exact identity
-    1 = (1-z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}.
+    """Lift to Q[SL2(q)]: x_e = lift(x~_e)/2 and delta = (1 - z)/4 with the
+    exact identity 1 = (1-z) delta + sum_i eps_i a^_i N(G^_{e_i}) x_{e_i}.
 
-    x_e and the sum carry the denominator d = 2 lcm(den x~_e), r the
-    numerators of d (1 - sum), and delta = r / 2d.
+    The lifted sum S carries the denominator d = 2 lcm(den x~_e).  The one
+    check is 2 d S = d (1 + z) in integers; with (1 - z)^2 / 4 = (1 - z)/2
+    it gives the identity.
     """
     sl, section = graph.sl, graph.proj.section
 
@@ -199,14 +171,10 @@ def lift_partition(graph: OrbitGraph, path: EdgePath,
     total = sum(module.group_product(sl, lifted(s_e), module.group_product(
         sl, _indicator(sl.n, graph.edge_orbits[orbit].stabilizer.elements),
         x_num[orbit])) for orbit, s_e in _step_sums(path, graph.psl.n).items())
-    one = _indicator(sl.n, [sl.identity]).astype(object)
-    r = den * one - total
-    z = _indicator(sl.n, [sl.z])
-    if not np.array_equal(module.group_product(sl, z, r), -r):
-        raise Inconsistent("z.r != -r: the residue is not in the kernel ideal")
-    # 2d ((1 - z) delta + sum) = 2d . 1, with delta = r / 2d
-    if not np.array_equal(module.group_product(sl, one - z, r) + 2 * total,
-                          2 * den * one):
-        raise Inconsistent("lifted identity failed exact verification")
+    one_plus_z = _indicator(sl.n, [sl.identity, sl.z]).astype(object)
+    if not np.array_equal(2 * total, den * one_plus_z):
+        raise Inconsistent("the lifted sum is not (1 + z)/2: "
+                           "lifted identity failed exact verification")
     x = {orbit: _element(sl, v, den) for orbit, v in x_num.items()}
-    return x, _element(sl, r, 2 * den)
+    return x, GroupAlgElt(sl, {sl.identity: Fraction(1, 4),
+                               sl.z: Fraction(-1, 4)})

@@ -29,7 +29,8 @@ def quat_mul2(p: Quat, q: Quat) -> Quat:
     b = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
     c = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
     d = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
-    assert a % 2 == b % 2 == c % 2 == d % 2 == 0
+    if a % 2 or b % 2 or c % 2 or d % 2:
+        raise ArithmeticError(f"{p} * {q} does not halve: not a Hurwitz product")
     return (a // 2, b // 2, c // 2, d // 2)
 
 
@@ -167,7 +168,9 @@ def binary_tetrahedral_group() -> SmallGroup:
               Block("su2w2", 2, twos[2]),
               Block("rot", 3, rot)]
     g = SmallGroup("SL2_3", elems, quat_mul2, blocks)
-    assert g.order(index[w]) == 6
+    order = g.order(index[w])
+    if order != 6:
+        raise ArithmeticError(f"{w} has order {order} in SL2(3), not 6")
     return g
 
 

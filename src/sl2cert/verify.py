@@ -123,8 +123,9 @@ def verify_prop31(q: int, session: Session | None = None) -> list[CheckResult]:
     """Census of each stabilizer subgroup against its closed form."""
     ses = session or Session(q)
     # the two q mod 3 branches are tied to the residue mod 24
-    assert (q % 24 == 13) == (q % 3 == 1)
-    assert (q % 24 == 5) == (q % 3 == 2)
+    if (q % 24 == 13) != (q % 3 == 1) or (q % 24 == 5) != (q % 3 == 2):
+        raise ValueError(f"q={q}: q mod 3 = {q % 3} does not match q mod 24 = "
+                         f"{q % 24}; the census needs q = 5 or 13 (mod 24)")
     order = ("Cq-1", "C4", "Q8", "C6", "B", "2Dq-1", "2Dq+1", "SL2_3")
     expected = _expected_censuses(q)
 

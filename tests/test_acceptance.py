@@ -119,12 +119,18 @@ def test_seed_1_walk_is_pinned(path13):
                       "32d961043fb22b2f4aad59894ea7297b")
 
 
-def test_criterion_07_partition_of_unity_and_lift(graph13, path13):
+def test_criterion_07_partition_of_unity_and_lift(graph13, path13,
+                                                  check_partition_witness):
     t0 = time.monotonic()
     solution = partition.solve_partition_of_unity(graph13, path13)
     # solve_partition_of_unity verifies the identity exactly in dim 1092
+    check_partition_witness(graph13, path13, solution)
+    # det M = -1, so f = M^-1 e_1 is integral: x~_e = f(h^-1 b_e) / |K_e|
+    for orbit, elt in solution.items():
+        order = len(graph13.edge_orbits[orbit].stabilizer) // 2
+        assert all(order % c.denominator == 0 for c in elt.coeffs.values()), orbit
     x, delta = partition.lift_partition(graph13, path13, solution)
-    # lift_partition asserts z r = -r and the exact identity in dim 2184
+    # lift_partition checks 2 S = 1 + z exactly in dim 2184
     assert delta.coeffs, "lift produced an empty correction term"
     # z lies in every lifted stabilizer, so delta = (1 - z)/4
     sl = graph13.sl

@@ -12,11 +12,6 @@ def cyc(graph13):
     return CycleSpace(graph13)
 
 
-def test_edgepath_roundtrip():
-    path = EdgePath(0, [("eta0", 3, 1), ("eta2", 17, -1)])
-    assert EdgePath.parse(path.dumps(), 0) == path
-
-
 def test_validate_rejects_broken_walk(graph13):
     bad = EdgePath(0, [("eta1", 0, 1)])      # eta1 does not start at vertex 0
     with pytest.raises(ValueError):

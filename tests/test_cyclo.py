@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cert import cyclo as cyclo_module
 from sl2cert.cyclo import Cyclo, NotRational, cyclo, gauss_sum_sqrt_q
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -62,7 +64,8 @@ def test_as_rational_raises_on_irrational():
         raise AssertionError("expected NotRational")
 
 
-@given(elt(12))
-@settings(max_examples=40)
-def test_serialize_roundtrip(a):
-    assert (Cyclo.parse(a.serialize()) - a).is_zero()
+def test_reduction_rows_reject_a_wrong_degree(monkeypatch):
+    # Phi_12 has degree 4; a wrong totient must raise, also under python -O
+    monkeypatch.setattr(cyclo_module, "totient", lambda n: 3)
+    with pytest.raises(ArithmeticError, match="Phi_12 is not monic of degree"):
+        cyclo_module._reduction_rows.__wrapped__(12)

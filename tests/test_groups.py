@@ -107,9 +107,11 @@ def test_enumeration_deterministic():
     assert a.elements == b.elements
 
 
-def test_dump_group_format(sl13):
-    line = groups.dump_group(sl13).splitlines()[0]
-    assert len(line.split()) == 5    # index + four matrix entries
+def test_psl_projection_rejects_swapped_tables(sl13):
+    # a named error, not an assert: it must hold under python -O too
+    psl = groups.enumerate_group(13, "PSL")
+    with pytest.raises(ValueError, match="PSL2\\(13\\) and SL2\\(13\\)"):
+        groups.PSLProjection(psl, sl13)
 
 
 # -- the array operations against per-element reference loops -------------------

@@ -103,18 +103,6 @@ def test_y0_word_13mod24(graph13):
     assert (a * d - b * c) % 13 == 1
 
 
-def test_translate_edge_action(graph13):
-    # g.(h.e) == (gh).e on expanded edges
-    psl = graph13.psl
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        g, h = (int(x) for x in rng.integers(psl.n, size=2))
-        e = int(rng.integers(graph13.n_edges))
-        lhs = graph13.translate_edge(g, graph13.translate_edge(h, e))
-        rhs = graph13.translate_edge(psl.mul(g, h), e)
-        assert lhs == rhs
-
-
 # -- the array expansion against per-element reference loops --------------------
 
 

@@ -83,3 +83,16 @@ def test_hurwitz_units_closed():
     for p in units:
         for q in units:
             assert smallgroups.quat_mul2(p, q) in units
+
+
+def test_quat_mul2_rejects_a_non_hurwitz_product():
+    # (1, 0, 0, 0) is 1/2, not a Hurwitz unit: its square 1/4 does not halve
+    with pytest.raises(ArithmeticError, match="not a Hurwitz product"):
+        smallgroups.quat_mul2((1, 0, 0, 0), (1, 0, 0, 0))
+
+
+def test_sl2_3_rejects_a_wrong_order_six_element(monkeypatch):
+    # the check on (1, 1, 1, 1) must raise by name, also under python -O
+    monkeypatch.setattr(smallgroups.SmallGroup, "order", lambda self, i: 3)
+    with pytest.raises(ArithmeticError, match="has order 3 in SL2\\(3\\), not 6"):
+        smallgroups.binary_tetrahedral_group()

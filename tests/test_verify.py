@@ -65,3 +65,9 @@ def test_check_result_failure_shape():
     res = verify._check("toy", 1, 2, detail="mismatch on purpose")
     assert not res.passed
     assert res.expected == 1 and res.computed == 2
+
+
+def test_census_rejects_q_outside_the_residues(session13):
+    # 7 = 1 (mod 3) but 7 (mod 24): the census's q mod 3 branch does not apply
+    with pytest.raises(ValueError, match="q=7: q mod 3 = 1 does not match"):
+        verify.verify_prop31(7, session13)
