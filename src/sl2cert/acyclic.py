@@ -78,7 +78,12 @@ def path_edge_vector(graph: OrbitGraph, path: EdgePath) -> np.ndarray:
 
 
 class CycleSpace:
-    """Fundamental-cycle coordinates and the translation action on them."""
+    """Fundamental-cycle coordinates and the translation action on them.
+
+    The table trans[g, e] of the edges g.e is composed from the group's two
+    `generators`: s moves the edge rep.b to (s rep).b, and trans[s g] =
+    s.trans[g], as (s g).e = s.(g.e), fills it breadth-first from the
+    identity (Holt, Eick & O'Brien, Handbook of CGT, 2005, 4.1)."""
 
     def __init__(self, graph: OrbitGraph):
         self.graph = graph
@@ -86,18 +91,23 @@ class CycleSpace:
         self.parent_edge = parent_edge
         self.in_tree = in_tree
         self.non_tree = np.array(non_tree, dtype=np.int64)
-        self.non_tree_pos = {int(e): i for i, e in enumerate(non_tree)}
-        n = graph.psl.n
-        # translation table: trans[g, e] = id of the edge g.e
-        trans = np.empty((n, graph.n_edges), dtype=np.int32)
-        graph.psl.build_cayley()
-        cay = graph.psl._cayley
-        for e in range(graph.n_edges):
-            orbit, rep = graph.edge_rep[e]
-            trans[:, e] = (graph.edge_coset[orbit][cay[:, rep]]
-                           + graph.edge_offset[orbit])
-        self.trans = trans
-        self.inv = graph.psl._inv.astype(np.int64)
+        psl = graph.psl
+        moves = [(left, np.array([graph.edge_of(orbit, int(left[rep]))
+                                  for orbit, rep in graph.edge_rep]))
+                 for left in map(psl.left_mul, psl.generators)]
+        self.trans = np.empty((psl.n, graph.n_edges), dtype=np.int32)
+        self.trans[psl.identity] = np.arange(graph.n_edges)
+        order, reached = [psl.identity], {psl.identity}
+        for g in order:                     # order grows while it is read: BFS
+            for left, act in moves:
+                if (h := int(left[g])) not in reached:
+                    reached.add(h)
+                    order.append(h)
+                    self.trans[h] = act[self.trans[g]]
+        if len(order) != psl.n:
+            raise ArithmeticError(f"the generators {psl.generators} reach "
+                                  f"{len(order)} of {psl.n} elements")
+        self.inv = psl.inverses()
 
     def tree_path_to_root(self, v: int) -> list[tuple[int, int]]:
         """Edges (edge_id, sign) leading from v to the tree root."""
@@ -114,7 +124,6 @@ class CycleSpace:
             else:
                 out.append((e, 1))
                 v = t
-        return out
 
     def fundamental_cycle(self, e: int) -> np.ndarray:
         """Edge vector of the cycle: e followed by tree paths to the root."""

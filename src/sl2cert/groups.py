@@ -3,7 +3,9 @@
 Elements are 2x2 matrices stored as 4-tuples (a, b, c, d) of residues mod q
 and addressed by their position in a fixed list sorted by the row-major
 base-q integer encoding.  All generator and subgroup searches scan elements
-in encoding order, so every construction is reproducible.
+in encoding order, so every construction is reproducible.  No
+multiplication table is built: a product is located by its matrix's
+encoding (`GroupTable.locate`).
 
 Conjugacy classes carry the labels 1, z, c, d, zc, zd, a^l, b^m:
 
@@ -30,9 +32,6 @@ from sympy import isprime
 Mat2 = tuple[int, int, int, int]
 
 IDENT: Mat2 = (1, 0, 0, 1)
-
-# columns of the Cayley table computed per vectorized block
-CAYLEY_CHUNK = 256
 
 SUBGROUP_NAMES = ("B", "Cq-1", "2Dq-1", "2Dq+1", "C4", "Q8", "C6", "SL2_3", "Z")
 
@@ -153,20 +152,16 @@ class GroupTable:
         self.gen_alpha: int | None = None
         self.eps: int | None = None
         self.delta: int | None = None
-        self._cayley: np.ndarray | None = None
-        self._inv: np.ndarray | None = None
+        # the unipotents (1 1; 0 1) and (1 0; 1 1), which generate SL2(F_q)
+        self.generators = (self.index[(1, 1, 0, 1)], self.index[(1, 0, 1, 1)])
         self._encodings: np.ndarray | None = None
 
     # -- basic operations ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._cayley is not None:
-            return int(self._cayley[i, j])
         return self.index[mat_mul(self.elements[i], self.elements[j], self.q)]
 
     def inv(self, i: int) -> int:
-        if self._inv is not None:
-            return int(self._inv[i])
         return self.index[mat_inv(self.elements[i], self.q)]
 
     def power(self, i: int, k: int) -> int:
@@ -238,32 +233,22 @@ class GroupTable:
             raise GroupBuildError(f"matrix not in {self.flavor}2({self.q})")
         return pos
 
+    def products(self, a, b) -> np.ndarray:
+        """Indices of a[i] * b[i] for broadcastable index arrays a and b."""
+        mats = self.matrices()
+        return self.locate(_mul_rows(mats[np.asarray(a)], mats[np.asarray(b)], self.q))
+
+    def inverses(self) -> np.ndarray:
+        """The permutation g -> g^-1 of all element indices."""
+        return self.locate(self.matrices()[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1]))
+
     def right_mul(self, h: int) -> np.ndarray:
         """The permutation g -> g * h of all element indices."""
-        if self._cayley is not None:
-            return self._cayley[:, h].astype(np.int64)
         return self.locate(_mul_rows(self.matrices(), np.array(self.elements[h]), self.q))
 
     def left_mul(self, h: int) -> np.ndarray:
         """The permutation g -> h * g of all element indices."""
-        if self._cayley is not None:
-            return self._cayley[h].astype(np.int64)
         return self.locate(_mul_rows(np.array(self.elements[h]), self.matrices(), self.q))
-
-    def build_cayley(self) -> None:
-        """Materialize the full multiplication table (PSL-sized groups only)."""
-        if self._cayley is not None:
-            return
-        q, n = self.q, self.n
-        mats = self.matrices()
-        table = np.empty((n, n), dtype=np.int32)
-        for lo in range(0, n, CAYLEY_CHUNK):
-            hi = min(lo + CAYLEY_CHUNK, n)
-            table[:, lo:hi] = self.locate(
-                _mul_rows(mats[:, None, :], mats[None, lo:hi, :], q))
-        self._cayley = table
-        inverses = mats[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
-        self._inv = self.locate(inverses).astype(np.int32)
 
 
 @dataclass

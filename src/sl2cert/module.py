@@ -161,11 +161,21 @@ def _compress(mat: np.ndarray, count: int) -> np.ndarray:
     return _mod_float(_exact_matmul(np.asarray(mat, dtype=np.float64), mix), _PRIME)
 
 
-def _independent_rows(z: np.ndarray, count: int) -> np.ndarray:
-    """Least `count` row indices of a matrix that are independent mod p, read
-    off its compression z (`_compress`): rows that stay independent after
-    compression are independent in the matrix."""
-    piv = lu_mod_p(z.T, _PRIME)[2]
+def _translates(layer: "ModuleLayer", eps: np.ndarray, gs, hs) -> np.ndarray:
+    """(eps.g)[h] = eps[h g^-1] for g in gs (rows) and h in hs (columns)."""
+    return eps[layer.graph.psl.products(np.asarray(hs)[None, :], layer.inv[gs][:, None])]
+
+
+def _independent_rows(rows, count: int, n: int, size: int) -> np.ndarray:
+    """Least `count` indices i < n of rows that are independent mod p, on
+    prefixes of size, 2 size, ... rows: rows(s) gives the first s rows
+    compressed (`_compress`).  First-nonzero pivoting picks the least
+    independent rows of a prefix, the least of all rows restricted to it."""
+    while True:
+        piv = lu_mod_p(rows(min(size, n)).T, _PRIME)[2]
+        if len(piv) >= count or size >= n:
+            break
+        size *= 2
     if len(piv) < count:
         raise ArithmeticError(f"only {len(piv)} of {count} independent rows")
     return np.array(piv[:count])
@@ -243,10 +253,6 @@ def galois_classes(table) -> list[GaloisClass]:
             for names in orbits.values()]
 
 
-def _character_value(table, name: str, label: ClassLabel) -> Cyclo:
-    return table[name].values[label]
-
-
 def central_element(table, labels, gclass: GaloisClass, inv) -> np.ndarray:
     """Primitive integer vector proportional to the central idempotent e_C.
 
@@ -261,7 +267,7 @@ def central_element(table, labels, gclass: GaloisClass, inv) -> np.ndarray:
         if lab not in cache:
             s = Cyclo.zero()
             for name in gclass.members:
-                s = s + _character_value(table, name, lab) * gclass.degree
+                s = s + table[name].values[lab] * gclass.degree
             cache[lab] = s.as_int()
         out[g] = cache[lab]
     return out // math.gcd(*(int(v) for v in out))
@@ -289,19 +295,22 @@ def rank_one_element(graph, table, labels) -> np.ndarray:
     H runs over the vertex and edge stabilizers (as PSL subgroups), psi over
     the trivial character and the sign characters of index-2 subgroups.
     """
-    mul = graph.psl._cayley
+    psl = graph.psl
     z = ClassLabel("z")
     chars = [ch for ch in table.characters if ch.values[z] == ch.degree]
     subgroups = [stab.elements for stab in graph.vertex_stabs.values()]
     subgroups += [eo.stabilizer.elements for eo in graph.edge_orbits.values()]
     for sl_elems in subgroups:
         h = sorted({graph.proj(i) for i in sl_elems})
-        squares = set(_closure(graph.psl, sorted({int(mul[a, a]) for a in h})))
-        kernels = [set(h)]
+        squares = set(_closure(psl, sorted({psl.mul(a, a) for a in h})))
+        kernels, seen = [set(h)], set()
         for a in h:
-            k = set(_closure(graph.psl, sorted(squares | {a})))
-            if 2 * len(k) == len(h) and k not in kernels:
-                kernels.append(k)
+            if a not in seen:           # one candidate per coset aS
+                coset = {psl.mul(a, s) for s in squares}
+                seen |= coset
+                k = squares | coset     # <S, a>: S is normal in H and holds a^2
+                if 2 * len(k) == len(h) and k not in kernels:
+                    kernels.append(k)
         for kernel in kernels:
             mults = []
             for ch in chars:
@@ -322,7 +331,11 @@ def rank_one_element(graph, table, labels) -> np.ndarray:
 
 
 class Block:
-    """Block determinant s_C for one Galois class (see the module docstring)."""
+    """Block determinant s_C for one Galois class (see the module docstring).
+
+    T_y is written in the coordinates J of eps.H1 and the rows eps.g_k: the
+    translates (eps.g)[h] = eps[h g^-1] of the least m elements g_k whose
+    translates are independent mod p, found on prefixes of G."""
 
     def __init__(self, layer: "ModuleLayer", gclass: GaloisClass, eps: np.ndarray):
         self.gclass = gclass
@@ -331,22 +344,21 @@ class Block:
         self.d = gclass.degree
         self.m = gclass.degree * self.k if gclass.degree > 1 else 1
         self.eps = eps
-        n, mul, inv = layer.n, layer.mul, layer.inv
+        n, every = layer.n, np.arange(layer.n)
         # coordinates J of eps.H1: rows i of P with P[i, j] = (eps.e_j)[i];
         # P = B^T fund^T with B the scatter of eps, compressed as B^T (fund^T mix)
         y = _compress(layer.fund_f.T, self.m)
-        b = _scatter(layer, np.arange(n), eps)
-        self.J = _independent_rows(_mod_float(_exact_matmul(b.T, y), _PRIME), self.m)
-        del b
+        z = _mod_float(_exact_matmul(_scatter(layer, every, eps).T, y), _PRIME)
+        self.J = _independent_rows(lambda s: z[:s], self.m, n, n)
         # the m x b1 rows P[J] themselves
         pj = _exact_matmul(layer.fund_f, _scatter(layer, self.J, eps)).astype(np.int64).T
-        # e[:, g] = eps.g over G
-        e = eps[mul[:, inv]]
-        self.gk = _independent_rows(_compress(e.T, self.m), self.m)
-        self.egk = e[:, self.gk].T.copy()                # a view would keep e alive
+        # g_k on prefixes of G of 4m, 8m, ... elements
+        self.gk = _independent_rows(lambda s: _compress(
+            _translates(layer, eps, every[:s], every), self.m), self.m, n, 4 * self.m)
+        self.egk = _translates(layer, eps, self.gk, every)
         cols = lu_mod_p(self.egk, _PRIME)[2]
         d_lam = abs(DomainMatrix.from_list(self.egk[:, cols].tolist(), ZZ).det())
-        det_lam = lattice_det(e[cols].T, d_lam)
+        det_lam = lattice_det(_translates(layer, eps, every, cols), d_lam)
         jk = lu_mod_p(pj, _PRIME)[2]
         d_h = abs(DomainMatrix.from_list(pj[:, jk].tolist(), ZZ).det())
         det_h = lattice_det(pj.T, d_h)
@@ -365,8 +377,10 @@ class Block:
         """
         if self._moves is None:
             k, m = self.k, self.m
-            ex = np.array([group_product(layer.graph.psl, self.egk[i], layer.x)
-                           for i in range(m)])
+            psl, x = layer.graph.psl, layer.x
+            # ex = (eps.g_k) x, row by row (a x)[w] = sum_h a[w h^-1] x[h]
+            ex = sum(x[h] * self.egk[:, psl.right_mul(psl.inv(int(h)))]
+                     for h in np.flatnonzero(x))
             idx = lu_mod_p(ex.T, _PRIME)[2]
             if len(idx) != k:
                 raise RepairFailed(f"block {self.name}: x has rank {len(idx)}, not {k}")
@@ -395,10 +409,8 @@ class ModuleLayer:
     def __init__(self, graph, cycles, table):
         self.graph = graph
         psl = graph.psl
-        psl.build_cayley()
         self.n = psl.n
         self.n_edges = graph.n_edges
-        self.mul = psl._cayley
         self.inv = cycles.inv
         self.rows = cycles.pairing_rows
         self.trans = cycles.trans
@@ -444,15 +456,15 @@ class ModuleLayer:
         """Class of a.y for a in Z[G]."""
         return a @ self.edge_vector(cls)[self.rows]
 
-    def conjugacy_classes(self) -> list[tuple[int, list[int]]]:
+    def conjugacy_classes(self) -> list[np.ndarray]:
+        """The conjugacy classes of G, each sorted, in order of their least element."""
         if not hasattr(self, "_classes"):
-            seen: set[int] = set()
-            self._classes = []
+            psl, every = self.graph.psl, np.arange(self.n)
+            least = np.full(self.n, -1)
             for g in range(self.n):
-                if g not in seen:
-                    cls = sorted({int(v) for v in self.mul[self.mul[:, g], self.inv]})
-                    seen.update(cls)
-                    self._classes.append((g, cls))
+                if least[g] < 0:
+                    least[psl.products(psl.products(every, g), self.inv)] = g
+            self._classes = [np.flatnonzero(least == g) for g in np.unique(least)]
         return self._classes
 
     def field(self, block: Block, charpoly) -> _FieldData:
@@ -615,7 +627,7 @@ def _eta_matrix(layer, block, w_of):
             base, w0inv = j, w.inv()
             break
     best = None
-    for rep, cls in layer.conjugacy_classes():
+    for cls in layer.conjugacy_classes():
         acc = np.zeros(layer.n_edges, dtype=np.int64)
         for g in cls:
             acc += layer.fund[base][layer.trans[int(layer.inv[g])]]

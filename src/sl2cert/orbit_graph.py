@@ -14,6 +14,7 @@ deterministic scan so that the stabilizer also lies in g G_target g^-1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,8 +207,6 @@ def build_graph(q: int, flavor: str, k: int = 0,
     elif sl.flavor != "SL" or sl.q != q:
         raise ValueError(f"expected the SL2({q}) table, got {sl.flavor}2({sl.q})")
     psl = groups.enumerate_group(q, "PSL")
-    if q <= 13:
-        psl.build_cayley()
     proj = groups.PSLProjection(sl, psl)
     vstabs = {v: groups.standard_subgroup(VERTEX_SUBGROUPS[v], sl)
               for v in VERTEX_NAMES}
@@ -216,17 +215,11 @@ def build_graph(q: int, flavor: str, k: int = 0,
 
     # generators recur across stabilizers (a, alpha, the Q8 pair): one
     # permutation per distinct PSL element
-    perms: dict[int, np.ndarray] = {}
-
-    def right_mul(sl_idx: int) -> np.ndarray:
-        h = proj(sl_idx)
-        if h not in perms:
-            perms[h] = psl.right_mul(h)
-        return perms[h]
+    right_mul = functools.cache(psl.right_mul)
 
     def cosets(handle: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
         order = len(np.unique(proj.proj[list(handle.elements)]))
-        return _coset_table([right_mul(s) for s in handle.generators], order)
+        return _coset_table([right_mul(proj(s)) for s in handle.generators], order)
 
     for v in VERTEX_NAMES:
         coset, reps = cosets(vstabs[v])
@@ -243,7 +236,7 @@ def build_graph(q: int, flavor: str, k: int = 0,
         srcs.append(graph.vertex_offset[eo.source]
                     + graph.vertex_coset[eo.source][reps])
         tgts.append(graph.vertex_offset[eo.target]
-                    + graph.vertex_coset[eo.target][right_mul(eo.twist)[reps]])
+                    + graph.vertex_coset[eo.target][right_mul(proj(eo.twist))[reps]])
     graph.edge_src = np.concatenate(srcs).astype(np.int32)
     graph.edge_tgt = np.concatenate(tgts).astype(np.int32)
     _check_invariants(graph)

@@ -22,9 +22,9 @@ in Q[G^] (G^ = SL2(q)): z lies in every lifted stabilizer, so the lifted
 sum is fixed by z and projects to 1, hence equals (1 + z)/2.  The solve is
 Dixon lifting (`intlin.dixon_solve`).  Both identities are checked exactly
 on integer coefficient arrays over one common denominator, with every
-group-ring product taken by `module.group_product`; the SL2(q) products
-take their permutations from `GroupTable.locate`, so no SL2(q)
-multiplication table is built.  Numerics never certify.
+group-ring product taken by `module.group_product`; the products take
+their permutations from `GroupTable.locate`, so no multiplication table
+is built, for SL2(q) or PSL2(q).  Numerics never certify.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from sl2cert import acyclic, intlin
+from sl2cert import acyclic, intlin, orbit_graph
 from sl2cert.acyclic import CycleSpace, EdgePath, NoPathFound
 
 
@@ -46,6 +46,44 @@ def test_translate_is_module_action(graph13, cyc):
         lhs = cyc.translate(g, cyc.translate(h, vec))
         rhs = cyc.translate(graph13.psl.mul(g, h), vec)
         assert np.array_equal(lhs, rhs)
+
+
+def _trans_by_definition(graph, gs):
+    """Rows gs of the edge action g.e = edge_of(orbit, g rep_e), one
+    `products` call per edge orbit."""
+    psl, gs = graph.psl, np.asarray(gs)
+    orbits = np.array([orbit for orbit, _ in graph.edge_rep])
+    reps = np.array([rep for _, rep in graph.edge_rep])
+    out = np.empty((len(gs), graph.n_edges), dtype=np.int64)
+    for orbit, offset in graph.edge_offset.items():
+        cols = np.flatnonzero(orbits == orbit)
+        prods = psl.products(gs[:, None], reps[cols][None, :])
+        out[:, cols] = graph.edge_coset[orbit][prods] + offset
+    return out
+
+
+def test_trans_matches_the_edge_action(graph13, cyc):
+    # the table composed from two generators is g.e at every g
+    n = graph13.psl.n
+    assert np.array_equal(cyc.trans, _trans_by_definition(graph13, np.arange(n)))
+
+
+def test_cycle_space_names_generators_that_do_not_generate(graph13, monkeypatch):
+    # (1 1; 0 1) alone generates a subgroup of order 13
+    psl = graph13.psl
+    monkeypatch.setattr(psl, "generators", psl.generators[:1])
+    with pytest.raises(ArithmeticError, match="reach 13 of 1092 elements"):
+        CycleSpace(graph13)
+
+
+def test_cycle_space_at_29():
+    # q = 29 is 5 (mod 24): b1 = n, and the edge action needs no n x n table
+    graph = orbit_graph.build_graph(29, "5mod24")
+    cyc = CycleSpace(graph)
+    n = graph.psl.n
+    assert orbit_graph.homology_ranks(graph) == (1, n) == (1, len(cyc.non_tree))
+    gs = np.random.default_rng(0).choice(n, 16, replace=False)
+    assert np.array_equal(cyc.trans[gs], _trans_by_definition(graph, gs))
 
 
 def test_pairing_matrix_identity_row(graph13, cyc):

@@ -151,6 +151,19 @@ def test_psl_projection_matches_loops(sl_psl):
     assert proj.section.tolist() == [sl.index[m] for m in psl.elements]
 
 
+@pytest.mark.parametrize("flavor", ["SL", "PSL"])
+def test_products_and_inverses_match_scalar_ops(sl13, flavor):
+    table = sl13 if flavor == "SL" else groups.enumerate_group(13, "PSL")
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(table.n, size=(6, 1)), rng.integers(table.n, size=(1, 9))
+    assert table.products(a, b).tolist() == [[table.mul(int(x), int(y)) for y in b[0]]
+                                             for x in a[:, 0]]
+    g = int(b[0, 0])
+    assert table.products(a[:, 0], g).tolist() == [table.mul(int(x), g) for x in a[:, 0]]
+    assert table.inverses().tolist() == [table.inv(i) for i in range(table.n)]
+    assert [table.elements[s] for s in table.generators] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+
+
 def test_locate_rejects_matrix_outside_table(sl13):
     psl = groups.enumerate_group(13, "PSL")
     good = np.array([sl13.elements[5], sl13.elements[700]], dtype=np.int64)
